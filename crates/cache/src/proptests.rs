@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use crate::set_assoc::SetAssocCache;
 
 /// Reference model: a plain list of (line, dirty, last_use) with the same
-/// policy, checked against the real cache access by access.
+/// policy, checked against the real cache operation by operation.
 struct RefCache {
     line_bytes: u64,
     sets: u64,
@@ -60,27 +60,90 @@ impl RefCache {
         self.entries.push((line, write, self.clock));
         (false, victim)
     }
+
+    fn probe(&self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        self.entries.iter().any(|(l, _, _)| *l == line)
+    }
+
+    /// Dirties a resident line without touching its recency.
+    fn mark_dirty(&mut self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        match self.entries.iter_mut().find(|(l, _, _)| *l == line) {
+            Some(e) => {
+                e.1 = true;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<(u64, bool)> {
+        let line = addr / self.line_bytes;
+        let i = self.entries.iter().position(|(l, _, _)| *l == line)?;
+        let (l, d, _) = self.entries.swap_remove(i);
+        Some((l * self.line_bytes, d))
+    }
+}
+
+/// One operation of a randomized cache workload.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Access(u64, bool),
+    MarkDirty(u64),
+    Invalidate(u64),
+    Probe(u64),
+}
+
+/// Accesses dominate (six in nine), as in the simulator; the other
+/// operations are interleaved often enough to hit resident and absent
+/// lines alike.
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..9, 0u64..4096, any::<bool>()).prop_map(|(kind, addr, write)| match kind {
+        0..=5 => Op::Access(addr, write),
+        6 => Op::MarkDirty(addr),
+        7 => Op::Invalidate(addr),
+        _ => Op::Probe(addr),
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cache agrees with the reference model on every access outcome
-    /// and every victim, over arbitrary access sequences.
+    /// The cache agrees with the reference model on every access outcome,
+    /// victim, probe, dirty mark and invalidation, over arbitrary
+    /// interleavings of the four operations.
     #[test]
     fn matches_reference_model(
-        ops in prop::collection::vec((0u64..4096, any::<bool>()), 1..300),
+        ops in prop::collection::vec(op(), 1..300),
         ways in 1usize..5,
     ) {
         let capacity = 64 * ways as u64 * 8; // 8 sets
         let mut real = SetAssocCache::new(capacity, 64, ways).expect("cache");
         let mut reference = RefCache::new(capacity, 64, ways);
-        for (addr, write) in ops {
-            let r = real.access(addr, write);
-            let (hit, victim) = reference.access(addr, write);
-            prop_assert_eq!(r.hit, hit, "hit mismatch at {:#x}", addr);
-            let rv = r.victim.map(|v| (v.addr, v.dirty));
-            prop_assert_eq!(rv, victim, "victim mismatch at {:#x}", addr);
+        for op in ops {
+            match op {
+                Op::Access(addr, write) => {
+                    let r = real.access(addr, write);
+                    let (hit, victim) = reference.access(addr, write);
+                    prop_assert_eq!(r.hit, hit, "hit mismatch at {:#x}", addr);
+                    let rv = r.victim.map(|v| (v.addr, v.dirty));
+                    prop_assert_eq!(rv, victim, "victim mismatch at {:#x}", addr);
+                }
+                Op::MarkDirty(addr) => {
+                    prop_assert_eq!(real.mark_dirty(addr), reference.mark_dirty(addr),
+                        "mark_dirty mismatch at {:#x}", addr);
+                }
+                Op::Invalidate(addr) => {
+                    let rv = real.invalidate(addr).map(|v| (v.addr, v.dirty));
+                    prop_assert_eq!(rv, reference.invalidate(addr),
+                        "invalidate mismatch at {:#x}", addr);
+                }
+                Op::Probe(addr) => {
+                    prop_assert_eq!(real.probe(addr), reference.probe(addr),
+                        "probe mismatch at {:#x}", addr);
+                }
+            }
         }
         prop_assert_eq!(real.resident_lines(), reference.entries.len());
     }

@@ -22,20 +22,40 @@ pub struct AccessResult {
     pub victim: Option<Victim>,
 }
 
+/// One way of a set, packed to 16 bytes: the line tag plus a `meta` word
+/// folding validity, dirtiness and recency together. `meta == 0` means
+/// the way is invalid; otherwise bit 63 is the dirty flag and the low 63
+/// bits are the `last_use` clock stamp. The clock is bumped before every
+/// stamp, so stamps start at 1 and a valid line never has `meta == 0`.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u64,
-    dirty: bool,
-    last_use: u64,
-    valid: bool,
+    meta: u64,
 }
 
-const INVALID: Entry = Entry {
-    tag: 0,
-    dirty: false,
-    last_use: 0,
-    valid: false,
-};
+const DIRTY: u64 = 1 << 63;
+
+const INVALID: Entry = Entry { tag: 0, meta: 0 };
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+impl Entry {
+    fn valid(self) -> bool {
+        self.meta != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.meta & DIRTY != 0
+    }
+
+    fn last_use(self) -> u64 {
+        self.meta & !DIRTY
+    }
+
+    fn holds(self, line: u64) -> bool {
+        self.valid() && self.tag == line
+    }
+}
 
 /// A set-associative cache with true-LRU replacement, write-back and
 /// write-allocate policies.
@@ -133,15 +153,19 @@ impl SetAssocCache {
     /// (write-allocate) and may evict an LRU victim.
     pub fn access(&mut self, byte_addr: u64, write: bool) -> AccessResult {
         self.clock += 1;
+        debug_assert!(
+            self.clock < DIRTY,
+            "LRU clock overflowed into the dirty bit"
+        );
         let line = self.line_of(byte_addr);
         let range = self.set_range(line);
         let clock = self.clock;
+        let dirty = if write { DIRTY } else { 0 };
 
         // Hit path.
         for e in &mut self.entries[range.clone()] {
-            if e.valid && e.tag == line {
-                e.last_use = clock;
-                e.dirty |= write;
+            if e.holds(line) {
+                e.meta = (e.meta & DIRTY) | dirty | clock;
                 self.stats.record_hit();
                 return AccessResult {
                     hit: true,
@@ -153,20 +177,17 @@ impl SetAssocCache {
         // Miss: find an invalid way or the LRU victim.
         self.stats.record_miss();
         let set = &mut self.entries[range];
-        let slot = set
-            .iter()
-            .position(|e| !e.valid)
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.last_use)
-                    .map(|(i, _)| i)
-                    .expect("set is never empty")
-            });
-        let victim = if set[slot].valid {
+        let slot = set.iter().position(|e| !e.valid()).unwrap_or_else(|| {
+            set.iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_use())
+                .map(|(i, _)| i)
+                .expect("set is never empty")
+        });
+        let victim = if set[slot].valid() {
             let v = Victim {
                 addr: set[slot].tag * self.line_bytes,
-                dirty: set[slot].dirty,
+                dirty: set[slot].dirty(),
             };
             self.stats.record_eviction(v.dirty);
             Some(v)
@@ -175,9 +196,7 @@ impl SetAssocCache {
         };
         set[slot] = Entry {
             tag: line,
-            dirty: write,
-            last_use: clock,
-            valid: true,
+            meta: dirty | clock,
         };
         AccessResult { hit: false, victim }
     }
@@ -187,7 +206,7 @@ impl SetAssocCache {
         let line = self.line_of(byte_addr);
         self.entries[self.set_range(line)]
             .iter()
-            .any(|e| e.valid && e.tag == line)
+            .any(|e| e.holds(line))
     }
 
     /// Marks a resident line dirty without an access (used when a lower
@@ -197,8 +216,8 @@ impl SetAssocCache {
         let line = self.line_of(byte_addr);
         let range = self.set_range(line);
         for e in &mut self.entries[range] {
-            if e.valid && e.tag == line {
-                e.dirty = true;
+            if e.holds(line) {
+                e.meta |= DIRTY;
                 return true;
             }
         }
@@ -212,10 +231,10 @@ impl SetAssocCache {
         let range = self.set_range(line);
         let line_bytes = self.line_bytes;
         for e in &mut self.entries[range] {
-            if e.valid && e.tag == line {
+            if e.holds(line) {
                 let v = Victim {
                     addr: e.tag * line_bytes,
-                    dirty: e.dirty,
+                    dirty: e.dirty(),
                 };
                 *e = INVALID;
                 return Some(v);
@@ -226,7 +245,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.entries.iter().filter(|e| e.valid()).count()
     }
 }
 

@@ -277,6 +277,14 @@ pub fn try_run_workload<S: Scheme + Clone>(
 /// system config — sweeping many schemes over one workload should warm
 /// once and pass clones to [`run_workload_warmed`].
 ///
+/// Cores are constructed one after another in core order, because
+/// construction draws from the root RNG; each core then takes its own
+/// warm-up stream `root.fork(0xF111 + i)`, also in core order. The
+/// warm-ups themselves run concurrently on up to
+/// [`crate::exec::effective_workers`] scoped threads: each touches only
+/// its own generator, LLC and forked stream, so the warmed set is
+/// bit-for-bit the same for any worker count.
+///
 /// # Panics
 ///
 /// Panics if the configuration is invalid.
@@ -293,9 +301,9 @@ pub fn warm_cores(workload: &Workload, cfg: &SystemConfig, opts: &SimOptions) ->
     );
     let mut root = SimRng::seed_from(cfg.seed);
     let warmup = opts.warmup_accesses.unwrap_or(60_000);
-    (0..cfg.cores)
+    let mut built: Vec<(CoreState, SimRng)> = (0..cfg.cores)
         .map(|i| {
-            let mut core = CoreState::with_mode(
+            let core = CoreState::with_mode(
                 workload.per_core[i as usize].clone(),
                 CoreId::new(i),
                 &cfg.cache,
@@ -306,11 +314,22 @@ pub fn warm_cores(workload: &Workload, cfg: &SystemConfig, opts: &SimOptions) ->
             // unreachable from run/step per panic_reachability.
             // fpb-lint: allow(panic_freedom)
             .expect("invalid cache config");
-            let mut wrng = root.fork(0xF111 + i as u64);
-            core.warm_up(warmup, &mut wrng);
-            core
+            let wrng = root.fork(0xF111 + i as u64);
+            (core, wrng)
         })
-        .collect()
+        .collect();
+    let workers = crate::exec::effective_workers(crate::exec::default_jobs(), built.len());
+    let per_worker = built.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        for chunk in built.chunks_mut(per_worker) {
+            scope.spawn(move || {
+                for (core, wrng) in chunk {
+                    core.warm_up(warmup, wrng);
+                }
+            });
+        }
+    });
+    built.into_iter().map(|(core, _)| core).collect()
 }
 
 /// Like [`run_workload`] but reusing pre-warmed cores (see

@@ -15,7 +15,7 @@ use fpb_core::effective_config_desc;
 use fpb_types::SystemConfig;
 
 use crate::engine::{run_workload_warmed_arena, warm_cores, SimArena, SimOptions};
-use crate::exec::{parallel_map_arena, parallel_map_indexed};
+use crate::exec::parallel_map_arena;
 use crate::frontend::CoreState;
 use crate::journal::{fingerprint64, JournalError, JournalHeader, JournalMode, JournalWriter};
 use crate::metrics::{json_string, Metrics};
@@ -465,7 +465,7 @@ pub fn run_sweep_jobs_reuse(
     for &u in &sim_units {
         needed[plan.units[u].rep] = true;
     }
-    let warm = warm_shared(workload, &grid, opts, jobs, &needed);
+    let warm = warm_shared(workload, &grid, opts, &needed);
     let costs: Vec<u64> =
         sim_units.iter().map(|&u| point_cost(&grid[plan.units[u].rep].1, opts)).collect();
     let results = parallel_map_arena(
@@ -551,14 +551,15 @@ struct WarmSets {
     of_point: Vec<usize>,
 }
 
-/// Builds the deduplicated warm sets, warming distinct keys in parallel
-/// (warming is deterministic — see [`warm_cores`] — so sharing a set
-/// across points is bit-for-bit identical to warming per point).
+/// Builds the deduplicated warm sets, warming distinct keys one after
+/// another: [`warm_cores`] already spreads each set's per-core warm-ups
+/// over the machine's workers, so a second level of fan-out here would
+/// only oversubscribe. Warming is deterministic, so sharing a set across
+/// points is bit-for-bit identical to warming per point.
 fn warm_shared(
     workload: &Workload,
     grid: &[(String, SystemConfig)],
     opts: &SimOptions,
-    jobs: usize,
     needed: &[bool],
 ) -> WarmSets {
     let mut of_point = Vec::with_capacity(grid.len());
@@ -577,13 +578,12 @@ fn warm_shared(
             }
         }
     }
-    let sets = parallel_map_indexed(&distinct, jobs, |_, &(_, rep, need)| {
-        if need {
-            Arc::new(warm_cores(workload, &grid[rep].1, opts))
-        } else {
-            Arc::new(Vec::new())
-        }
-    });
+    let sets = distinct
+        .iter()
+        .map(|&(_, rep, need)| {
+            Arc::new(if need { warm_cores(workload, &grid[rep].1, opts) } else { Vec::new() })
+        })
+        .collect();
     WarmSets { sets, of_point }
 }
 
@@ -1175,7 +1175,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     for &u in &sim_unit_ids {
         needed[plan.units[u].rep] = true;
     }
-    let warm = Arc::new(warm_shared(req.workload, &grid, &req.opts, req.policy.jobs, &needed));
+    let warm = Arc::new(warm_shared(req.workload, &grid, &req.opts, &needed));
 
     // Execution costs: static estimate, refined by measured cycle counts
     // from journal-restored points sharing the same warm key (same line

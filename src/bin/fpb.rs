@@ -17,7 +17,7 @@ use fpb::cli::{self, Command, LintArgs, LintFormat, RunArgs, SweepControl};
 use fpb::sim::engine::{run_workload_warmed, warm_cores};
 use fpb::sim::journal::JournalMode;
 use fpb::sim::sweep::{run_sweep_supervised, PanicInjection, ReuseOptions, SupervisedSweepRequest};
-use fpb::sim::{CancelToken, Metrics, SupervisePolicy};
+use fpb::sim::{run_workload, CancelToken, Metrics, SupervisePolicy};
 use fpb::trace::catalog;
 
 /// Exit code when a sweep finished but left quarantined or skipped
@@ -80,8 +80,8 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
             }
             let (wl, opts) = resolve(&ra)?;
             let setup = cli::build_scheme(&ra.scheme, &ra).map_err(|e| e.to_string())?;
-            let cores = warm_cores(&wl, &ra.cfg, &opts);
-            let m = run_workload_warmed(&wl, &ra.cfg, &setup, &opts, &cores);
+            // One scheme, so the warmed cores move straight into the system.
+            let m = run_workload(&wl, &ra.cfg, &setup, &opts);
             print_header();
             print_metrics(&setup.label, &m, None);
             print_wear(&m);

@@ -345,54 +345,6 @@ pub fn run_workload_warmed<S: Scheme + Clone>(
     System::with_cores(workload, cfg, setup, opts, cores.to_vec()).run()
 }
 
-/// A worker-owned bundle of the write path's recycled storage: the
-/// [`WriteBufferPool`] (which owns the pooled `ChangeSet`s and round
-/// vectors), the [`RoundSplitter`] grouping scratch, and the power
-/// ledger's [`fpb_core::GrantScratch`] planning buffers.
-///
-/// A fresh `System` cold-starts all three — fine for one run, wasteful
-/// for a sweep, where every grid point re-pays the pool's priming
-/// allocations. A sweep worker instead holds one `SimArena` per worker
-/// slot and threads it through [`run_workload_warmed_arena`], so the
-/// buffers are allocated once per worker and recycled across points.
-///
-/// Reuse is results-neutral by construction: every buffer in the bundle
-/// is cleared or fully overwritten before use and none of them touches
-/// an RNG, so a run fed a used arena is bit-for-bit identical to a run
-/// with a fresh one (enforced by the pooled-vs-fresh equivalence tests
-/// and the sweep's jobs-invariance gate).
-#[derive(Debug, Default)]
-pub struct SimArena {
-    pool: WriteBufferPool,
-    splitter: RoundSplitter,
-    grants: fpb_core::GrantScratch,
-}
-
-/// Like [`run_workload_warmed`] but recycling `arena`'s buffers through
-/// the run: the arena is moved into the system, the simulation runs to
-/// completion, and the (now warmed) arena is moved back out before the
-/// metrics are finalized. See [`SimArena`] for why this cannot change
-/// results.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or on an internal scheduling
-/// deadlock, exactly as [`run_workload_warmed`] does.
-pub fn run_workload_warmed_arena<S: Scheme + Clone>(
-    workload: &Workload,
-    cfg: &SystemConfig,
-    setup: &S,
-    opts: &SimOptions,
-    cores: &[CoreState],
-    arena: &mut SimArena,
-) -> Metrics {
-    let mut sys = System::with_cores(workload, cfg, setup, opts, cores.to_vec());
-    sys.adopt_arena(std::mem::take(arena));
-    while sys.step() {}
-    *arena = sys.reclaim_arena();
-    sys.finish()
-}
-
 /// Like [`try_run_workload`] but recording the run's lifecycle event
 /// stream into `sink`, returned alongside the metrics. The sink observes
 /// the engine without perturbing it, so the metrics are bit-for-bit what
@@ -747,27 +699,5 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// stops allocating.
     pub fn pool_stats(&self) -> (u64, u64) {
         (self.pool.reuses(), self.pool.fresh_allocations())
-    }
-
-    /// Installs a donated [`SimArena`], replacing this system's fresh
-    /// write-buffer pool, round splitter, and grant scratch with the
-    /// arena's recycled ones. Call before stepping; reuse never changes
-    /// simulated results (see [`SimArena`]).
-    pub fn adopt_arena(&mut self, arena: SimArena) {
-        self.pool = arena.pool;
-        self.splitter = arena.splitter;
-        self.power.donate_grant_scratch(arena.grants);
-    }
-
-    /// Moves the recycled storage back out of a finished system so the
-    /// next run on this worker can adopt it. The system keeps empty
-    /// replacements; call once stepping is done, before
-    /// [`System::finish`].
-    pub fn reclaim_arena(&mut self) -> SimArena {
-        SimArena {
-            pool: std::mem::take(&mut self.pool),
-            splitter: std::mem::take(&mut self.splitter),
-            grants: self.power.take_grant_scratch(),
-        }
     }
 }

@@ -4,25 +4,12 @@
 //! computations, so the only thing a parallel driver must guarantee is
 //! that results come back *in input order* regardless of which worker
 //! finished first. This module provides exactly that on scoped threads —
-//! no dependencies, no channels, no unsafe.
+//! no dependencies, no channels, no unsafe. Workers claim one item at a
+//! time off a shared cursor.
 //!
-//! Two scheduling refinements beyond the naive shared cursor:
-//!
-//! - **Per-slot arenas** ([`try_parallel_map_arena`]): each worker slot
-//!   constructs one arena via an init closure and threads it mutably
-//!   through every item it claims. Simulation workers use this to build
-//!   their buffer pools once and reuse them across grid points instead
-//!   of cold-starting allocation per point. Results must not depend on
-//!   arena history (reuse may only change *allocation* behaviour) — the
-//!   sweep's pools guarantee exactly that by clearing before use.
-//! - **Cost-aware chunked claiming**: callers may pass per-item cost
-//!   estimates; items are claimed in descending-cost order so the
-//!   longest points start first and cannot strand the pool at the tail.
-//!   Claims take shrinking chunks of the schedule (guided
-//!   self-scheduling: `remaining / (workers * 4)`, capped) to cut
-//!   cursor contention on big grids, degrading to single-point claims
-//!   near the tail to keep every worker saturated. Output order is
-//!   always input order — the schedule only permutes *execution*.
+//! Sweeps do not run here: they run under [`crate::supervise`], which
+//! adds quarantine, deadlines and cancellation, and which takes the
+//! longest-first execution order that [`schedule_by_cost`] builds.
 //!
 //! Worker counts are clamped to the machine's available parallelism:
 //! requesting `--jobs 4` on a 1-core container would otherwise
@@ -35,8 +22,7 @@
 //! ([`WorkerPanic`]) instead of tearing the whole pool down anonymously.
 //! [`try_parallel_map_indexed`] surfaces that as an error;
 //! [`parallel_map_indexed`] keeps the original panicking contract but
-//! the re-raised panic now names the offending slot. Full supervision —
-//! retry, quarantine, deadlines — lives in [`crate::supervise`].
+//! the re-raised panic names the offending slot.
 
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -51,11 +37,6 @@ pub fn default_jobs() -> usize {
         .map(NonZeroUsize::get)
         .unwrap_or(1)
 }
-
-/// Upper bound on items claimed in a single cursor advance. Keeps the
-/// schedule responsive to stragglers: a chunk is at most this many
-/// points even on very large grids.
-const MAX_CLAIM_CHUNK: usize = 8;
 
 /// The worker-thread count actually spawned for `jobs` requested jobs
 /// over `items` items: never more threads than items (idle from birth)
@@ -117,51 +98,10 @@ fn into_slot_value<R>(slot: Mutex<Option<R>>) -> Option<R> {
     slot.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Claims the next chunk of schedule positions off the shared cursor.
-/// Chunk size is guided self-scheduling — proportional to the work
-/// remaining per worker, capped, and never below one — so early claims
-/// amortize cursor traffic while the tail degrades to single-point
-/// claims that keep all workers busy until the grid is drained.
-fn claim_chunk(next: &AtomicUsize, total: usize, workers: usize) -> Option<(usize, usize)> {
-    loop {
-        // ORDER: the cursor is a pure claim counter — no data is
-        // published through it, results flow via per-slot Mutexes.
-        let start = next.load(Ordering::Relaxed);
-        if start >= total {
-            return None;
-        }
-        let remaining = total - start;
-        let take = (remaining / (workers * 4)).clamp(1, MAX_CLAIM_CHUNK);
-        match next.compare_exchange_weak(
-            start,
-            start + take,
-            // ORDER: the CAS only arbitrates who owns [start, start+take);
-            // claimed items are read-only input, so Relaxed on both edges.
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return Some((start, start + take)),
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Maps `f` over `items` on up to `jobs` worker threads — each carrying
-/// a per-slot arena built once by `init` — returning results in input
-/// order, or the first (lowest-index) panic as a [`WorkerPanic`].
-///
-/// `init(slot)` runs once on each spawned worker (slots `0..workers`),
-/// and the arena it returns is passed `&mut` to every `f` call that
-/// worker makes. Arenas exist to recycle allocations across items;
-/// `f`'s *results* must not depend on which arena served an item or
-/// what it processed before (the jobs-invariance tests enforce this for
-/// the sweep). The serial path (`jobs <= 1` or a single item) builds
-/// one arena and runs everything inline on the caller's thread.
-///
-/// `costs`, when provided (and matching `items` in length), reorders
-/// *execution* — descending cost, ties in input order — while output
-/// order stays input order. A mismatched length falls back to input
-/// order rather than failing a whole sweep over a bookkeeping bug.
+/// Maps `f` over `items` on up to `jobs` worker threads, returning the
+/// results in input order, or the first (lowest-index) panic as a
+/// [`WorkerPanic`]. The serial path (`jobs <= 1` or a single item) runs
+/// everything inline on the caller's thread.
 ///
 /// On a panic the remaining workers finish their in-flight items and
 /// drain the cursor, then the lowest-index failure is reported (workers
@@ -169,65 +109,46 @@ fn claim_chunk(next: &AtomicUsize, total: usize, workers: usize) -> Option<(usiz
 /// the reported slot is not: simulation closures are deterministic, and
 /// the lowest failing index is a pure function of the input).
 ///
-/// `f` must be retry-agnostic about unwinds: a panicking call's partial
-/// state is discarded wholesale (the pool asserts unwind safety on that
-/// basis — nothing outside the call observes it).
-pub fn try_parallel_map_arena<T, R, A, I, F>(
+/// A panicking call's partial state is discarded wholesale (the pool
+/// asserts unwind safety on that basis — nothing outside the call
+/// observes it).
+pub fn try_parallel_map_indexed<T, R, F>(
     items: &[T],
     jobs: usize,
-    costs: Option<&[u64]>,
-    init: I,
     f: F,
 ) -> Result<Vec<R>, WorkerPanic>
 where
     T: Sync,
     R: Send,
-    I: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, usize, &T) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    let run = |arena: &mut A, i: usize, t: &T| -> Result<R, WorkerPanic> {
-        catch_unwind(AssertUnwindSafe(|| f(arena, i, t))).map_err(|payload| WorkerPanic {
+    let run = |i: usize, t: &T| -> Result<R, WorkerPanic> {
+        catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(|payload| WorkerPanic {
             slot: i,
             message: panic_message(payload.as_ref()),
         })
     };
-    let schedule: Option<Vec<usize>> = match costs {
-        Some(c) if c.len() == n => Some(schedule_by_cost(c)),
-        _ => None,
-    };
-    let item_at = |pos: usize| schedule.as_ref().map_or(pos, |s| s[pos]);
     let workers = effective_workers(jobs, n);
     if workers <= 1 || n <= 1 {
-        // Inline serial path: one arena, input order (the schedule only
-        // matters when workers race; serial output is order-identical).
-        let mut arena = init(0);
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| run(&mut arena, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, WorkerPanic>>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for slot_id in 0..workers {
-            let next = &next;
-            let slots = &slots;
-            let init = &init;
-            let run = &run;
-            let item_at = &item_at;
-            scope.spawn(move || {
-                let mut arena = init(slot_id);
-                while let Some((from, to)) = claim_chunk(next, n, workers) {
-                    for pos in from..to {
-                        let i = item_at(pos);
-                        let r = run(&mut arena, i, &items[i]);
-                        if let Ok(mut slot) = slots[i].lock() {
-                            *slot = Some(r);
-                        }
-                    }
+        for _ in 0..workers {
+            let (next, slots, run) = (&next, &slots, &run);
+            scope.spawn(move || loop {
+                // ORDER: the cursor is a pure claim counter — no data is
+                // published through it, results flow via per-slot Mutexes.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return;
+                }
+                let r = run(i, &items[i]);
+                if let Ok(mut slot) = slots[i].lock() {
+                    *slot = Some(r);
                 }
             });
         }
@@ -248,52 +169,6 @@ where
         }
     }
     Ok(out)
-}
-
-/// [`try_parallel_map_arena`] with the panicking contract of
-/// [`parallel_map_indexed`]: the first worker panic is re-raised on the
-/// caller's thread, its message enriched with the slot index.
-///
-/// # Panics
-///
-/// A panic inside `f` is propagated to the caller once all workers have
-/// stopped, as `worker panicked at slot N: <payload>`.
-pub fn parallel_map_arena<T, R, A, I, F>(
-    items: &[T],
-    jobs: usize,
-    costs: Option<&[u64]>,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, usize, &T) -> R + Sync,
-{
-    match try_parallel_map_arena(items, jobs, costs, init, f) {
-        Ok(out) => out,
-        // Documented contract of this wrapper: re-raise with context.
-        // fpb-lint: allow(panic_freedom)
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Maps `f` over `items` on up to `jobs` worker threads, returning the
-/// results in input order, or the first (lowest-index) panic as a
-/// [`WorkerPanic`]. Arena-free, cost-agnostic convenience over
-/// [`try_parallel_map_arena`].
-pub fn try_parallel_map_indexed<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_parallel_map_arena(items, jobs, None, |_| (), |(), i, t| f(i, t))
 }
 
 /// [`try_parallel_map_indexed`] with the original panicking contract:
@@ -322,8 +197,6 @@ where
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn preserves_input_order() {
@@ -388,119 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn claim_chunks_cover_every_position_exactly_once() {
-        for total in [1usize, 7, 64, 1000] {
-            for workers in [1usize, 3, 8] {
-                let next = AtomicUsize::new(0);
-                let mut seen = vec![false; total];
-                while let Some((from, to)) = claim_chunk(&next, total, workers) {
-                    assert!(to <= total);
-                    assert!(to - from <= MAX_CLAIM_CHUNK);
-                    for (p, slot) in seen.iter_mut().enumerate().take(to).skip(from) {
-                        assert!(!*slot, "position {p} claimed twice");
-                        *slot = true;
-                    }
-                }
-                assert!(seen.iter().all(|&s| s), "total={total} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn arena_results_in_input_order_regardless_of_costs() {
-        let items: Vec<u64> = (0..120).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        // Costs shaped every which way: none, uniform, ascending,
-        // descending, and adversarially interleaved.
-        let cost_shapes: [Option<Vec<u64>>; 5] = [
-            None,
-            Some(vec![1; 120]),
-            Some((0..120).collect()),
-            Some((0..120).rev().collect()),
-            Some((0..120).map(|i| (i * 7919) % 97).collect()),
-        ];
-        for costs in &cost_shapes {
-            for jobs in [1, 2, 4, 8] {
-                let out = parallel_map_arena(
-                    &items,
-                    jobs,
-                    costs.as_deref(),
-                    |_| Vec::<u64>::new(),
-                    |scratch, _, &x| {
-                        scratch.push(x);
-                        x * 3
-                    },
-                );
-                assert_eq!(out, expect, "jobs={jobs} costs={costs:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn mismatched_cost_length_falls_back_to_input_order() {
-        let items: Vec<u32> = (0..10).collect();
-        let out = parallel_map_arena(&items, 4, Some(&[1, 2, 3]), |_| (), |(), _, &x| x + 1);
-        assert_eq!(out, (1..11).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn arena_init_runs_once_per_worker_slot() {
-        let items: Vec<u32> = (0..50).collect();
-        let inits = AtomicUsize::new(0);
-        let slots_seen = Mutex::new(HashSet::new());
-        let out = parallel_map_arena(
-            &items,
-            4,
-            None,
-            |slot| {
-                inits.fetch_add(1, Ordering::SeqCst);
-                slots_seen.lock().unwrap().insert(slot);
-                0u64
-            },
-            |count, _, &x| {
-                *count += 1;
-                x
-            },
-        );
-        assert_eq!(out, items);
-        let n_inits = inits.load(Ordering::SeqCst);
-        let workers = effective_workers(4, items.len());
-        assert_eq!(n_inits, workers, "one arena per spawned worker");
-        let seen = slots_seen.lock().unwrap();
-        assert_eq!(seen.len(), workers, "slot ids distinct: {seen:?}");
-        assert!(seen.iter().all(|&s| s < workers));
-    }
-
-    #[test]
-    fn arena_state_carries_across_items_on_a_worker() {
-        // Each worker's arena counts the items it processed; the total
-        // across workers must equal the item count (every item ran on
-        // exactly one arena).
-        let items: Vec<u32> = (0..64).collect();
-        let total = AtomicU64::new(0);
-        struct Counter<'a> {
-            local: u64,
-            total: &'a AtomicU64,
-        }
-        impl Drop for Counter<'_> {
-            fn drop(&mut self) {
-                self.total.fetch_add(self.local, Ordering::SeqCst);
-            }
-        }
-        parallel_map_arena(
-            &items,
-            4,
-            None,
-            |_| Counter { local: 0, total: &total },
-            |c, _, &x| {
-                c.local += 1;
-                x
-            },
-        );
-        assert_eq!(total.load(Ordering::SeqCst), items.len() as u64);
-    }
-
-    #[test]
     fn worker_panic_propagates_with_slot_and_message() {
         let items: Vec<u32> = (0..16).collect();
         let r = std::panic::catch_unwind(|| {
@@ -530,22 +290,6 @@ mod tests {
             assert_eq!(err.message, "bad point 3");
             assert_eq!(err.to_string(), "worker panicked at slot 3: bad point 3");
         }
-    }
-
-    #[test]
-    fn lowest_failing_slot_survives_cost_reordering() {
-        // Execution order puts slot 3 last, but the reported panic is
-        // still the lowest *input* index, not the first executed.
-        let items: Vec<u32> = (0..32).collect();
-        let costs: Vec<u64> = (0..32).map(|i| if i == 3 { 0 } else { 100 }).collect();
-        let err = try_parallel_map_arena(&items, 4, Some(&costs), |_| (), |(), _, &x| {
-            if x % 10 == 3 {
-                panic!("bad point {x}");
-            }
-            x
-        })
-        .expect_err("must fail");
-        assert_eq!(err.slot, 3);
     }
 
     #[test]

@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn null_sink_is_disabled() {
-        assert!(!NullSink::ENABLED);
+        const { assert!(!NullSink::ENABLED) };
         let mut s = NullSink;
         s.emit(LifecycleEvent::RunEnd { at: 1 }); // must be a no-op
     }
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn memory_sink_buffers_in_order() {
         let mut s = MemorySink::new();
-        assert!(MemorySink::ENABLED);
+        const { assert!(MemorySink::ENABLED) };
         s.emit(LifecycleEvent::BrownoutStart { at: 5 });
         s.emit(LifecycleEvent::BrownoutEnd { at: 9 });
         assert_eq!(s.events().len(), 2);

@@ -22,7 +22,7 @@
 //! * [`metrics`] — CPI, write throughput, burst residency, power stats.
 //! * [`exec`] — the worker pool fanning independent runs across threads.
 //! * [`supervise`] — the fault-tolerant layer over [`exec`]: panic
-//!   isolation, bounded retry, deadlines, quarantine, cancellation.
+//!   isolation, deadlines, quarantine, cancellation.
 //! * [`journal`] — the durable fsync'd checkpoint log behind
 //!   `fpb sweep --journal/--resume`.
 //! * [`resultcache`] — the persistent point-result cache
@@ -68,11 +68,11 @@ pub use bench::{
     required_speedup, run_fixed_bench, run_fixed_bench_repeats, run_hotpath_bench, BenchReport,
     CacheRace, EfficiencyGate, HotpathReport, SkippedRung, LINE_WRITE_FLOOR,
 };
-pub use engine::{run_workload, run_workload_recorded, try_run_workload, SimArena, SimOptions, System};
+pub use engine::{run_workload, run_workload_recorded, try_run_workload, SimOptions, System};
 pub use inspect::{EventSink, LifecycleEvent, MemorySink, NullSink};
 pub use exec::{
-    default_jobs, effective_workers, parallel_map_arena, parallel_map_indexed, schedule_by_cost,
-    try_parallel_map_arena, try_parallel_map_indexed, WorkerPanic,
+    default_jobs, effective_workers, parallel_map_indexed, schedule_by_cost,
+    try_parallel_map_indexed, WorkerPanic,
 };
 pub use journal::{JournalError, JournalHeader, JournalWriter};
 pub use metrics::{FaultMetrics, Metrics};

@@ -1,14 +1,16 @@
-//! Supervised job execution: panic isolation, deadlines, bounded retry,
-//! and quarantine for embarrassingly parallel simulation work.
+//! Supervised job execution: panic isolation, deadlines, and quarantine
+//! for embarrassingly parallel simulation work.
 //!
 //! [`exec::parallel_map_indexed`](crate::exec::parallel_map_indexed) is
 //! the *optimistic* pool: one panicking point aborts the whole map. This
 //! module is the *pessimistic* wrapper large sweeps need: every job runs
-//! under `catch_unwind`, a panicking job is retried with deterministic
-//! backoff and — if it keeps failing — quarantined so the rest of the
-//! grid still completes, an optional watchdog thread declares jobs hung
-//! after a per-job deadline, and a [`CancelToken`] stops admission
+//! under `catch_unwind`, a panicking job is quarantined so the rest of
+//! the grid still completes, an optional watchdog thread declares jobs
+//! hung after a per-job deadline, and a [`CancelToken`] stops admission
 //! gracefully (in-flight jobs finish; unstarted jobs are skipped).
+//!
+//! Jobs run once. Simulation points are deterministic, so a point that
+//! panicked would panic again on a retry; there is nothing to retry.
 //!
 //! Determinism: with deadlines disabled and no cancellation, a supervised
 //! map returns exactly what the plain pool returns, in input order, for
@@ -16,11 +18,11 @@
 //! (a deterministic panic always yields the same quarantine), never on
 //! timing.
 
-// Deadlines and retry backoff are wall-clock by nature. The clock never
-// feeds simulation results: a job's output is produced by the
-// deterministic engine, and the wall clock only decides whether a job is
-// declared hung — an opt-in knob that is off by default and off in every
-// determinism gate.
+// Deadlines are wall-clock by nature. The clock never feeds simulation
+// results: a job's output is produced by the deterministic engine, and
+// the wall clock only decides whether a job is declared hung — an
+// opt-in knob that is off by default and off in every determinism gate
+// — and times the map for `fpb bench`.
 // fpb-lint: allow-file(determinism)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,74 +67,24 @@ impl CancelToken {
     }
 }
 
-/// Retry, deadline, and worker-count policy for a supervised map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Worker-count and deadline policy for a supervised map.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisePolicy {
     /// Worker threads (`<= 1` still isolates panics, on one worker).
     pub jobs: usize,
-    /// Retry attempts after the first failure (`0` = quarantine on the
-    /// first panic; total attempts = `max_retries + 1`).
-    pub max_retries: u32,
-    /// Base of the deterministic exponential backoff between retries.
-    pub backoff_base_ms: u64,
-    /// Cap on a single backoff sleep.
-    pub backoff_cap_ms: u64,
-    /// Per-job wall-clock deadline (covers all attempts including
-    /// backoff). `None` disables the watchdog entirely.
+    /// Per-job wall-clock deadline. `None` disables the watchdog
+    /// entirely.
     pub deadline_ms: Option<u64>,
-}
-
-impl Default for SupervisePolicy {
-    fn default() -> Self {
-        SupervisePolicy {
-            jobs: 1,
-            max_retries: 0,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            deadline_ms: None,
-        }
-    }
-}
-
-impl SupervisePolicy {
-    /// Deterministic backoff before retry number `attempt` (1-based):
-    /// `base * 2^(attempt-1)`, capped at [`SupervisePolicy::backoff_cap_ms`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fpb_sim::supervise::SupervisePolicy;
-    ///
-    /// let p = SupervisePolicy { backoff_base_ms: 50, backoff_cap_ms: 300, ..SupervisePolicy::default() };
-    /// assert_eq!(p.backoff(1).as_millis(), 50);
-    /// assert_eq!(p.backoff(2).as_millis(), 100);
-    /// assert_eq!(p.backoff(5).as_millis(), 300); // capped
-    /// ```
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = attempt.saturating_sub(1).min(20);
-        let ms = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << exp)
-            .min(self.backoff_cap_ms);
-        Duration::from_millis(ms)
-    }
 }
 
 /// Terminal outcome of one supervised job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobOutcome {
-    /// Completed on the first attempt.
+    /// Completed.
     Ok,
-    /// Completed after `attempts` total attempts (`attempts >= 2`).
-    Retried {
-        /// Total attempts including the successful one.
-        attempts: u32,
-    },
-    /// Panicked on every attempt and was quarantined.
+    /// Panicked and was quarantined.
     Panicked {
-        /// Total attempts made.
-        attempts: u32,
-        /// Payload of the final panic.
+        /// The panic payload.
         message: String,
     },
     /// Exceeded the per-job deadline and was quarantined; its thread may
@@ -150,7 +102,7 @@ pub enum JobOutcome {
 impl JobOutcome {
     /// True for outcomes that produced a result.
     pub fn succeeded(&self) -> bool {
-        matches!(self, JobOutcome::Ok | JobOutcome::Retried { .. })
+        matches!(self, JobOutcome::Ok)
     }
 
     /// True for outcomes parked on the quarantine list (poisoned jobs
@@ -163,7 +115,6 @@ impl JobOutcome {
     pub fn class(&self) -> &'static str {
         match self {
             JobOutcome::Ok => "ok",
-            JobOutcome::Retried { .. } => "retried",
             JobOutcome::Panicked { .. } => "panicked",
             JobOutcome::TimedOut { .. } => "timed_out",
             JobOutcome::Skipped => "skipped",
@@ -175,10 +126,7 @@ impl std::fmt::Display for JobOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobOutcome::Ok => write!(f, "ok"),
-            JobOutcome::Retried { attempts } => write!(f, "ok after {attempts} attempts"),
-            JobOutcome::Panicked { attempts, message } => {
-                write!(f, "panicked on all {attempts} attempt(s): {message}")
-            }
+            JobOutcome::Panicked { message } => write!(f, "panicked: {message}"),
             JobOutcome::TimedOut { deadline_ms } => {
                 write!(f, "exceeded the {deadline_ms}ms deadline")
             }
@@ -198,6 +146,10 @@ pub struct SuperviseReport<R> {
     pub outcomes: Vec<JobOutcome>,
     /// True if the run was cancelled before every job was admitted.
     pub cancelled: bool,
+    /// Wall time from spawning the first worker until the last job
+    /// resolved (zero for an empty map). Reporting only: no result
+    /// depends on it.
+    pub wall: Duration,
 }
 
 impl<R> SuperviseReport<R> {
@@ -221,8 +173,7 @@ impl<R> SuperviseReport<R> {
 enum Slot {
     /// Not yet claimed by a worker.
     Idle,
-    /// Claimed; `started` is the first attempt's start (the deadline
-    /// covers retries and backoff too).
+    /// Claimed; `started` is when the job began running.
     Running { started: Instant },
     /// Terminal: a result, failure, timeout, or skip has been recorded.
     /// Late results for a resolved slot are discarded.
@@ -232,8 +183,8 @@ enum Slot {
 /// One terminal event per slot, sent to the collector.
 #[derive(Debug)]
 enum Event<R> {
-    Done { index: usize, attempts: u32, value: R },
-    Failed { index: usize, attempts: u32, message: String },
+    Done { index: usize, value: R },
+    Failed { index: usize, message: String },
     TimedOut { index: usize },
     Skipped { index: usize },
 }
@@ -258,7 +209,6 @@ struct WorkerCtx<T, R, F> {
     /// the output — it only changes which jobs start first.
     schedule: Arc<Option<Vec<usize>>>,
     cancel: CancelToken,
-    policy: SupervisePolicy,
     tx: Sender<Event<R>>,
 }
 
@@ -278,27 +228,31 @@ impl<T, R, F> Clone for WorkerCtx<T, R, F> {
             next: Arc::clone(&self.next),
             schedule: Arc::clone(&self.schedule),
             cancel: self.cancel.clone(),
-            policy: self.policy,
             tx: self.tx.clone(),
         }
     }
 }
 
 /// Maps `f` over `items` on up to `policy.jobs` worker threads with full
-/// supervision: panic isolation, bounded retry with deterministic
-/// backoff, optional per-job deadlines, quarantine, and cooperative
-/// cancellation. Results come back in input order.
+/// supervision: panic isolation, optional per-job deadlines, quarantine,
+/// and cooperative cancellation. Results come back in input order.
+///
+/// `order`, when given, is the execution order: cursor position `k` runs
+/// item `order[k]`, so callers can start expensive items first (the
+/// sweep passes [`schedule_by_cost`](crate::exec::schedule_by_cost)).
+/// Results, outcomes, and `on_complete` indices are always by *item*
+/// index — the order changes scheduling, never output. An `order` of the
+/// wrong length is ignored in favor of input order.
 ///
 /// `on_complete(index, &result)` runs on the *caller's* thread as each
 /// job completes (in completion order, not input order) — the durable
 /// journal hook: by the time the map returns, every completed result has
 /// been offered to the callback.
 ///
-/// Jobs must be *retry-safe*: each call of `f` must build whatever state
-/// it needs from scratch (true of simulation points, which seed their
-/// RNGs from the input config). The supervisor asserts unwind safety on
-/// that basis: a panicked attempt's partial state is discarded wholesale
-/// with the attempt itself.
+/// Each call of `f` must build whatever state it needs from scratch
+/// (true of simulation points, which seed their RNGs from the input
+/// config). The supervisor asserts unwind safety on that basis: a
+/// panicked job's partial state is discarded wholesale with the job.
 ///
 /// A job that hangs forever with no deadline configured hangs the map,
 /// exactly like the unsupervised pool — set
@@ -307,27 +261,6 @@ impl<T, R, F> Clone for WorkerCtx<T, R, F> {
 /// (its eventual result is discarded) and a replacement worker is
 /// spawned so pool strength is maintained.
 pub fn supervise_map<T, R, F>(
-    items: Vec<T>,
-    policy: &SupervisePolicy,
-    cancel: &CancelToken,
-    f: F,
-    on_complete: impl FnMut(usize, &R),
-) -> SuperviseReport<R>
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(usize, &T) -> R + Send + Sync + 'static,
-{
-    supervise_map_ordered(items, policy, cancel, None, f, on_complete)
-}
-
-/// [`supervise_map`] with an explicit execution order: cursor position
-/// `k` runs item `order[k]`, so callers can start expensive items first
-/// (the sweep passes a descending-cost schedule). Results, outcomes, and
-/// `on_complete` indices are always by *item* index — the order changes
-/// scheduling, never output. An `order` that is not a permutation of
-/// `0..items.len()` (wrong length) is ignored in favor of input order.
-pub fn supervise_map_ordered<T, R, F>(
     items: Vec<T>,
     policy: &SupervisePolicy,
     cancel: &CancelToken,
@@ -346,6 +279,7 @@ where
             results: Vec::new(),
             outcomes: Vec::new(),
             cancelled: cancel.is_cancelled(),
+            wall: Duration::ZERO,
         };
     }
     let schedule = order.filter(|o| o.len() == n);
@@ -357,12 +291,12 @@ where
         next: Arc::new(AtomicUsize::new(0)),
         schedule: Arc::new(schedule),
         cancel: cancel.clone(),
-        policy: *policy,
         tx,
     };
     // Clamp to the machine's cores like the unsupervised pool does:
     // oversubscribed simulation threads only timeslice, never help.
     let workers = crate::exec::effective_workers(policy.jobs, n);
+    let started = Instant::now();
     for _ in 0..workers {
         spawn_worker(ctx.clone());
     }
@@ -417,7 +351,6 @@ where
             for (outcome, done_flag) in outcomes.iter_mut().zip(&resolved) {
                 if !done_flag {
                     *outcome = JobOutcome::Panicked {
-                        attempts: 0,
                         message: "worker pool shut down before the job resolved".to_string(),
                     };
                 }
@@ -436,17 +369,13 @@ where
         resolved[index] = true;
         remaining -= 1;
         match ev {
-            Event::Done { attempts, value, .. } => {
+            Event::Done { value, .. } => {
                 on_complete(index, &value);
-                outcomes[index] = if attempts <= 1 {
-                    JobOutcome::Ok
-                } else {
-                    JobOutcome::Retried { attempts }
-                };
+                outcomes[index] = JobOutcome::Ok;
                 results[index] = Some(value);
             }
-            Event::Failed { attempts, message, .. } => {
-                outcomes[index] = JobOutcome::Panicked { attempts, message };
+            Event::Failed { message, .. } => {
+                outcomes[index] = JobOutcome::Panicked { message };
             }
             Event::TimedOut { .. } => {
                 outcomes[index] = JobOutcome::TimedOut {
@@ -461,6 +390,7 @@ where
         results,
         outcomes,
         cancelled: cancel.is_cancelled(),
+        wall: started.elapsed(),
     }
 }
 
@@ -502,9 +432,9 @@ where
     });
 }
 
-/// Runs job `i` to a terminal slot state: attempts (with backoff) until
-/// success, retry exhaustion, or a watchdog timeout resolves the slot
-/// out from under the attempt (late results are discarded).
+/// Runs job `i` once to a terminal slot state: a result or a panic,
+/// unless a watchdog timeout resolved the slot out from under the job
+/// (its late outcome is then discarded).
 fn run_one<T, R, F>(ctx: &WorkerCtx<T, R, F>, i: usize)
 where
     T: Send + Sync + 'static,
@@ -519,53 +449,21 @@ where
             _ => return,
         }
     }
-    let max_attempts = ctx.policy.max_retries.saturating_add(1);
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        // The closure only borrows `f` and one item; a panicking attempt
-        // discards its entire partial state, and jobs are documented
-        // retry-safe (each call rebuilds from scratch), so crossing the
-        // unwind boundary cannot expose broken invariants.
-        let outcome = catch_unwind(AssertUnwindSafe(|| (ctx.f)(i, &ctx.items[i])));
-        match outcome {
-            Ok(value) => {
-                let mut s = lock_slot(&ctx.slots[i]);
-                if matches!(*s, Slot::Resolved) {
-                    return; // timed out while running: discard
-                }
-                *s = Slot::Resolved;
-                drop(s);
-                let _ = ctx.tx.send(Event::Done { index: i, attempts: attempt, value });
-                return;
-            }
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                {
-                    let s = lock_slot(&ctx.slots[i]);
-                    if matches!(*s, Slot::Resolved) {
-                        return; // timed out during the attempt
-                    }
-                }
-                if attempt >= max_attempts {
-                    let mut s = lock_slot(&ctx.slots[i]);
-                    if matches!(*s, Slot::Resolved) {
-                        return;
-                    }
-                    *s = Slot::Resolved;
-                    drop(s);
-                    let _ = ctx.tx.send(Event::Failed { index: i, attempts: attempt, message });
-                    return;
-                }
-                std::thread::sleep(ctx.policy.backoff(attempt));
-                // Re-check after backoff: the deadline covers sleeps too.
-                let s = lock_slot(&ctx.slots[i]);
-                if matches!(*s, Slot::Resolved) {
-                    return;
-                }
-            }
-        }
+    // The closure only borrows `f` and one item; a panicking job
+    // discards its entire partial state, so crossing the unwind
+    // boundary cannot expose broken invariants.
+    let outcome = catch_unwind(AssertUnwindSafe(|| (ctx.f)(i, &ctx.items[i])));
+    let mut s = lock_slot(&ctx.slots[i]);
+    if matches!(*s, Slot::Resolved) {
+        return; // timed out while running: discard
     }
+    *s = Slot::Resolved;
+    drop(s);
+    let event = match outcome {
+        Ok(value) => Event::Done { index: i, value },
+        Err(payload) => Event::Failed { index: i, message: panic_message(payload.as_ref()) },
+    };
+    let _ = ctx.tx.send(event);
 }
 
 #[cfg(test)]
@@ -574,34 +472,34 @@ mod tests {
     use super::*;
 
     fn policy(jobs: usize) -> SupervisePolicy {
-        SupervisePolicy {
-            jobs,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 4,
-            ..SupervisePolicy::default()
-        }
+        SupervisePolicy { jobs, ..SupervisePolicy::default() }
     }
 
     #[test]
     fn clean_map_matches_plain_results_in_order() {
-        for jobs in [1, 4] {
-            let items: Vec<u64> = (0..23).collect();
-            let r = supervise_map(items, &policy(jobs), &CancelToken::new(), |i, &x| {
-                assert_eq!(i as u64, x);
-                x * 3
-            }, |_, _| {});
-            assert!(!r.cancelled);
-            assert_eq!(r.count("ok"), 23);
-            let vals: Vec<u64> = r.results.into_iter().map(Option::unwrap).collect();
-            assert_eq!(vals, (0..23).map(|x| x * 3).collect::<Vec<_>>());
-            assert!(r.outcomes.iter().all(|o| *o == JobOutcome::Ok));
+        // Execution order changes scheduling only; an order of the wrong
+        // length is ignored.
+        let orders = [None, Some((0..23).rev().collect::<Vec<usize>>()), Some(vec![2, 1, 0])];
+        for order in orders {
+            for jobs in [1, 4] {
+                let items: Vec<u64> = (0..23).collect();
+                let r = supervise_map(items, &policy(jobs), &CancelToken::new(), order.clone(), |i, &x| {
+                    assert_eq!(i as u64, x);
+                    x * 3
+                }, |_, _| {});
+                assert!(!r.cancelled);
+                assert_eq!(r.count("ok"), 23);
+                let vals: Vec<u64> = r.results.into_iter().map(Option::unwrap).collect();
+                assert_eq!(vals, (0..23).map(|x| x * 3).collect::<Vec<_>>());
+                assert!(r.outcomes.iter().all(|o| *o == JobOutcome::Ok));
+            }
         }
     }
 
     #[test]
     fn deterministic_panic_is_quarantined_without_aborting() {
         let items: Vec<u32> = (0..8).collect();
-        let r = supervise_map(items, &policy(2), &CancelToken::new(), |_, &x| {
+        let r = supervise_map(items, &policy(2), &CancelToken::new(), None, |_, &x| {
             assert!(x != 5, "boom at five");
             x + 1
         }, |_, _| {});
@@ -610,45 +508,25 @@ mod tests {
         let q = r.quarantine();
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].0, 5);
-        let JobOutcome::Panicked { attempts, message } = q[0].1 else {
+        let JobOutcome::Panicked { message } = q[0].1 else {
             panic!("expected Panicked, got {:?}", q[0].1)
         };
-        assert_eq!(*attempts, 1);
         assert!(message.contains("boom at five"), "message: {message}");
         assert!(r.results[5].is_none());
         assert_eq!(r.results[4], Some(5));
     }
 
     #[test]
-    fn transient_panic_is_retried_to_success() {
+    fn panicking_job_runs_exactly_once() {
         use std::sync::atomic::AtomicU32;
-        let failures = Arc::new(AtomicU32::new(0));
-        let f2 = Arc::clone(&failures);
-        let items: Vec<u32> = (0..4).collect();
-        let p = SupervisePolicy { max_retries: 2, ..policy(2) };
-        let r = supervise_map(items, &p, &CancelToken::new(), move |_, &x| {
-            if x == 2 && f2.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient");
-            }
-            x
-        }, |_, _| {});
-        assert_eq!(r.outcomes[2], JobOutcome::Retried { attempts: 3 });
-        assert_eq!(r.results[2], Some(2));
-        assert_eq!(r.count("ok"), 3);
-        assert_eq!(r.count("retried"), 1);
-    }
-
-    #[test]
-    fn retries_exhausted_reports_attempt_count() {
-        let items = vec![0u32];
-        let p = SupervisePolicy { max_retries: 3, ..policy(1) };
-        let r = supervise_map(items, &p, &CancelToken::new(), |_, _| -> u32 {
+        let calls = Arc::new(AtomicU32::new(0));
+        let c2 = Arc::clone(&calls);
+        let r = supervise_map(vec![0u32], &policy(1), &CancelToken::new(), None, move |_, _| -> u32 {
+            c2.fetch_add(1, Ordering::SeqCst);
             panic!("always")
         }, |_, _| {});
-        assert_eq!(
-            r.outcomes[0],
-            JobOutcome::Panicked { attempts: 4, message: "always".to_string() }
-        );
+        assert_eq!(r.outcomes[0], JobOutcome::Panicked { message: "always".to_string() });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "a panic is quarantined, never retried");
     }
 
     #[test]
@@ -658,7 +536,7 @@ mod tests {
             deadline_ms: Some(40),
             ..policy(1) // one worker: the replacement spawn is load-bearing
         };
-        let r = supervise_map(items, &p, &CancelToken::new(), |_, &x| {
+        let r = supervise_map(items, &p, &CancelToken::new(), None, |_, &x| {
             if x == 1 {
                 std::thread::sleep(Duration::from_millis(400));
             }
@@ -679,7 +557,7 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         let cancel = CancelToken::new();
         let c2 = cancel.clone();
-        let r = supervise_map(items, &policy(1), &cancel, move |_, &x| {
+        let r = supervise_map(items, &policy(1), &cancel, None, move |_, &x| {
             if x == 2 {
                 c2.cancel();
             }
@@ -697,7 +575,7 @@ mod tests {
     fn on_complete_sees_every_completed_result() {
         let items: Vec<u64> = (0..12).collect();
         let seen = std::cell::RefCell::new(Vec::new());
-        let r = supervise_map(items, &policy(3), &CancelToken::new(), |_, &x| x + 100, |i, v: &u64| {
+        let r = supervise_map(items, &policy(3), &CancelToken::new(), None, |_, &x| x + 100, |i, v: &u64| {
             seen.borrow_mut().push((i, *v));
         });
         assert_eq!(r.count("ok"), 12);
@@ -712,40 +590,27 @@ mod tests {
             Vec::<u32>::new(),
             &policy(4),
             &CancelToken::new(),
+            None,
             |_, &x| x,
             |_, _| {},
         );
         assert!(r.results.is_empty() && r.outcomes.is_empty());
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = SupervisePolicy {
-            backoff_base_ms: 10,
-            backoff_cap_ms: 55,
-            ..SupervisePolicy::default()
-        };
-        assert_eq!(p.backoff(1).as_millis(), 10);
-        assert_eq!(p.backoff(2).as_millis(), 20);
-        assert_eq!(p.backoff(3).as_millis(), 40);
-        assert_eq!(p.backoff(4).as_millis(), 55);
-        assert_eq!(p.backoff(33).as_millis(), 55, "shift width is clamped");
+        assert_eq!(r.wall, Duration::ZERO, "no workers, nothing timed");
     }
 
     #[test]
     fn outcome_classes_and_predicates() {
         let ok = JobOutcome::Ok;
-        let retried = JobOutcome::Retried { attempts: 2 };
-        let panicked = JobOutcome::Panicked { attempts: 1, message: "x".into() };
+        let panicked = JobOutcome::Panicked { message: "x".into() };
         let timed = JobOutcome::TimedOut { deadline_ms: 5 };
         let skipped = JobOutcome::Skipped;
-        assert!(ok.succeeded() && retried.succeeded());
+        assert!(ok.succeeded());
         assert!(!panicked.succeeded() && !timed.succeeded() && !skipped.succeeded());
         assert!(panicked.quarantined() && timed.quarantined());
         assert!(!ok.quarantined() && !skipped.quarantined());
         assert_eq!(
-            [&ok, &retried, &panicked, &timed, &skipped].map(|o| o.class()),
-            ["ok", "retried", "panicked", "timed_out", "skipped"]
+            [&ok, &panicked, &timed, &skipped].map(|o| o.class()),
+            ["ok", "panicked", "timed_out", "skipped"]
         );
     }
 }

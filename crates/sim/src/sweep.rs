@@ -8,20 +8,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use fpb_core::effective_config_desc;
 use fpb_types::SystemConfig;
 
-use crate::engine::{run_workload_warmed_arena, warm_cores, SimArena, SimOptions};
-use crate::exec::parallel_map_arena;
+use crate::engine::{run_workload_warmed, warm_cores, SimOptions};
 use crate::frontend::CoreState;
 use crate::journal::{fingerprint64, JournalError, JournalHeader, JournalMode, JournalWriter};
 use crate::metrics::{json_string, Metrics};
 use crate::resultcache::ResultCache;
 use crate::scheme::{Scheme, SchemeRegistry, SchemeSetup, SchemeSpec};
-use crate::supervise::{supervise_map_ordered, CancelToken, JobOutcome, SupervisePolicy};
+use crate::supervise::{supervise_map, CancelToken, JobOutcome, SupervisePolicy};
 use fpb_trace::Workload;
 
 /// One labeled variant of an axis: a point label and the configuration
@@ -350,10 +349,11 @@ pub fn run_sweep(
 /// seeds its own RNGs from the configuration), so the parallel sweep
 /// returns results **bit-for-bit identical** to the serial one, in the
 /// same odometer order — `jobs` only changes wall-clock time. With
-/// `jobs <= 1` the grid runs inline on the caller's thread.
+/// `jobs <= 1` the grid runs on a single worker thread.
 ///
-/// Four work-avoidance optimizations apply at any worker count, none of
-/// which can change results (all are sharing/ordering-only; the
+/// This is [`run_sweep_supervised`] with no journal, no deadline and no
+/// cancellation, so the optimizations of that one driver apply. None of
+/// them can change results (all are sharing/ordering-only; the
 /// jobs-invariance and reuse-equivalence tests enforce this):
 ///
 /// - Engine runs are semantically deduplicated: runs whose unit
@@ -361,8 +361,6 @@ pub fn run_sweep(
 ///   equivalence class and share the metrics.
 /// - Warmed cores are deduplicated: points whose configs produce the
 ///   same warm state (see [`warm_key`]'s inputs) share one warm set.
-/// - Each worker carries a [`SimArena`], so the write path's pools are
-///   primed once per worker instead of once per point.
 /// - Units execute in descending estimated-cost order
 ///   ([`point_cost`] of the class representative), longest first, so a
 ///   slow unit claimed late cannot strand the pool past the end of the
@@ -372,7 +370,8 @@ pub fn run_sweep(
 ///
 /// Panics if `axes` is empty, either scheme spec does not resolve, or any
 /// produced configuration is invalid (the validation happens up front,
-/// before any worker starts).
+/// before any worker starts). Panics naming the point if a point's
+/// simulation panics; the rest of the grid finishes first.
 pub fn run_sweep_jobs(
     workload: &Workload,
     base_cfg: SystemConfig,
@@ -414,110 +413,49 @@ pub fn run_sweep_jobs_reuse(
     jobs: usize,
     reuse: &ReuseOptions,
 ) -> (Vec<SweepPoint>, ReuseStats) {
-    assert!(!axes.is_empty(), "sweep needs at least one axis");
-    // Resolve both specs once, up front: a typo fails before any
-    // simulation work starts, and workers then rebuild per config from
-    // the parsed form.
-    let registry = SchemeRegistry::standard();
-    let scheme_spec = parse_spec(scheme);
-    let baseline_spec = parse_spec(baseline);
-    // Semantic errors (e.g. `+reg` on a GCP-less base) are config-
-    // independent, so one build against the base config proves every
-    // per-point build below will succeed.
-    build_spec(registry, &scheme_spec, &base_cfg);
-    build_spec(registry, &baseline_spec, &base_cfg);
-    // Enumerate the grid up front in odometer order; workers then claim
-    // units off this list, and results keep the enumeration order.
-    let grid = match enumerate_grid(&base_cfg, axes) {
-        Ok(grid) => grid,
+    let run = run_plain(workload, base_cfg, axes, scheme, baseline, opts, jobs, reuse);
+    let stats = run.reuse;
+    (run.into_points(), stats)
+}
+
+/// The supervised run behind the plain wrappers: no journal, no
+/// deadline, a fresh [`CancelToken`], no injection. Returns the whole
+/// [`SweepRun`] so `fpb bench` can read its [`SweepRun::sim_wall`].
+///
+/// # Panics
+///
+/// Same contract as [`run_sweep_jobs`], minus the per-point panic
+/// ([`SweepRun::into_points`] raises that).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_plain(
+    workload: &Workload,
+    base_cfg: SystemConfig,
+    axes: &[Axis],
+    scheme: &str,
+    baseline: &str,
+    opts: &SimOptions,
+    jobs: usize,
+    reuse: &ReuseOptions,
+) -> SweepRun {
+    let run = run_sweep_supervised(SupervisedSweepRequest {
+        workload,
+        base_cfg,
+        axes,
+        scheme,
+        baseline,
+        opts: *opts,
+        policy: SupervisePolicy { jobs, deadline_ms: None },
+        journal: None,
+        cancel: CancelToken::new(),
+        cancel_after: None,
+        inject_panic: None,
+        reuse: reuse.clone(),
+    });
+    match run {
+        Ok(run) => run,
         // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
         Err(e) => panic!("{e}"),
-    };
-    let pending: Vec<usize> = (0..grid.len()).collect();
-    let plan = plan_units(
-        workload,
-        opts,
-        &grid,
-        &pending,
-        registry,
-        &scheme_spec,
-        &baseline_spec,
-        reuse.dedup,
-        None,
-    );
-    // Level 2: prefill units from the persistent cache (dedup-on only —
-    // cache keys *are* unit keys, so without dedup there is nothing
-    // sound to look up).
-    let mut cache = match (&reuse.cache, reuse.dedup) {
-        (Some(path), true) => Some(ResultCache::load(path)),
-        _ => None,
-    };
-    let mut ready: Vec<Option<Metrics>> = plan
-        .units
-        .iter()
-        .map(|u| cache.as_mut().and_then(|c| c.lookup(&u.desc)))
-        .collect();
-    let sim_units: Vec<usize> = (0..plan.units.len()).filter(|&u| ready[u].is_none()).collect();
-    // Warm sets and costs over the units that actually simulate: the
-    // scheduler sees class-collapsed work, and fully-cached warm keys
-    // never pay a warm-up.
-    let mut needed = vec![false; grid.len()];
-    for &u in &sim_units {
-        needed[plan.units[u].rep] = true;
     }
-    let warm = warm_shared(workload, &grid, opts, &needed);
-    let costs: Vec<u64> =
-        sim_units.iter().map(|&u| point_cost(&grid[plan.units[u].rep].1, opts)).collect();
-    let results = parallel_map_arena(
-        &sim_units,
-        jobs,
-        Some(&costs),
-        |_slot| SimArena::default(),
-        |arena, _k, &u| {
-            let unit = &plan.units[u];
-            let (_, cfg) = &grid[unit.rep];
-            let cores = &warm.sets[warm.of_point[unit.rep]];
-            run_workload_warmed_arena(workload, cfg, &unit.setup, opts, cores, arena)
-        },
-    );
-    let cache_hits = plan.units.len() - sim_units.len();
-    for (k, &u) in sim_units.iter().enumerate() {
-        if let Some(c) = cache.as_mut() {
-            c.insert(plan.units[u].desc.clone(), results[k].clone());
-        }
-        ready[u] = Some(results[k].clone());
-    }
-    if let Some(c) = &cache {
-        if let Err(e) = c.save() {
-            // A failed save costs future warm starts, never correctness.
-            eprintln!("fpb sweep: result cache save failed: {e} (continuing)");
-        }
-    }
-    let points = pending
-        .iter()
-        .enumerate()
-        .map(|(pi, &gi)| {
-            let (su, bu) = plan.point_units[pi];
-            match (&ready[su], &ready[bu]) {
-                (Some(m), Some(b)) => SweepPoint {
-                    label: format!("{} [{}]", grid[gi].0, plan.units[su].setup.label),
-                    metrics: m.clone(),
-                    baseline: b.clone(),
-                },
-                // Every unit is either cache-filled or simulated above;
-                // an unresolved hole can only be a planner bug.
-                // fpb-lint: allow(panic_freedom)
-                _ => panic!("sweep unit unresolved for point {gi}"),
-            }
-        })
-        .collect();
-    let stats = ReuseStats {
-        runs_total: 2 * grid.len(),
-        runs_unique: plan.units.len(),
-        cache_hits,
-        simulated: sim_units.len(),
-    };
-    (points, stats)
 }
 
 /// Static cost estimate for one grid point: instruction budget scaled by
@@ -587,19 +525,9 @@ fn warm_shared(
     WarmSets { sets, of_point }
 }
 
-/// Parses a sweep scheme spec, upholding the sweep API's documented
-/// `# Panics` contract: a malformed spec is a call-site bug and must
-/// fail loudly before any simulation work starts.
-fn parse_spec(s: &str) -> SchemeSpec {
-    match s.parse() {
-        Ok(spec) => spec,
-        // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
-        Err(e) => panic!("sweep scheme spec `{s}`: {e}"),
-    }
-}
-
-/// Builds a parsed spec against one config, with the same documented
-/// panic contract as [`parse_spec`].
+/// Builds a parsed spec against one config. [`run_sweep_supervised`]
+/// proves up front that every build succeeds (spec errors are
+/// config-independent), so the panic is unreachable from it.
 fn build_spec(registry: &SchemeRegistry, spec: &SchemeSpec, cfg: &SystemConfig) -> SchemeSetup {
     match registry.build_spec(spec, cfg) {
         Ok(setup) => setup,
@@ -696,19 +624,6 @@ pub fn enumerate_grid(
     Ok(grid)
 }
 
-/// Test hook: make one grid point panic on its first `attempts`
-/// executions (pass `u32::MAX` for "always"). Exposed through
-/// `fpb sweep --inject-panic` so crash-recovery behavior — quarantine,
-/// journaling, resume — can be exercised end to end without patching the
-/// simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PanicInjection {
-    /// Grid index of the point to poison.
-    pub point: usize,
-    /// How many executions of that point panic before it succeeds.
-    pub attempts: u32,
-}
-
 /// Everything a supervised sweep needs (the plain positional-argument
 /// form of [`run_sweep_jobs`] plus the supervision/journal knobs).
 pub struct SupervisedSweepRequest<'a> {
@@ -724,7 +639,7 @@ pub struct SupervisedSweepRequest<'a> {
     pub baseline: &'a str,
     /// Simulation options, shared by every point.
     pub opts: SimOptions,
-    /// Worker count, retry budget, backoff, and deadline.
+    /// Worker count and deadline.
     pub policy: SupervisePolicy,
     /// Optional durable journal (fresh or resumed).
     pub journal: Option<JournalMode>,
@@ -734,8 +649,11 @@ pub struct SupervisedSweepRequest<'a> {
     /// run* (restored and cache-completed points don't count) — the
     /// deterministic stand-in for pressing Ctrl-C mid-sweep.
     pub cancel_after: Option<usize>,
-    /// Crash-injection test hook.
-    pub inject_panic: Option<PanicInjection>,
+    /// Crash-injection test hook: the grid index of a point that
+    /// panics whenever it runs. Exposed through `fpb sweep
+    /// --inject-panic` so quarantine, journaling and resume can be
+    /// exercised end to end without patching the simulator.
+    pub inject_panic: Option<usize>,
     /// Result-reuse ladder (semantic dedup + persistent cache). The
     /// journal always outranks both levels: restored points splice
     /// their journaled fragments and never consult the cache.
@@ -754,7 +672,7 @@ pub enum PointState {
         /// The journaled result fragment, spliced into reports as-is.
         fragment: String,
     },
-    /// Quarantined (panicked every attempt, or timed out).
+    /// Quarantined (panicked, or timed out).
     Failed,
     /// Never ran: the sweep was cancelled first.
     Skipped,
@@ -891,9 +809,32 @@ pub struct SweepRun {
     /// `restored` — deliberately kept out of [`SweepRun::to_json`] so
     /// reuse settings cannot leak into the byte-identical document.
     pub reuse: ReuseStats,
+    /// Wall time of the simulation phase: the worker pool running this
+    /// run's units, excluding planning, warm-up and journal/cache I/O
+    /// (zero when nothing simulated). Reporting only, and like `reuse`
+    /// kept out of [`SweepRun::to_json`].
+    pub sim_wall: Duration,
 }
 
 impl SweepRun {
+    /// The simulated points, in grid order.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first point that was not simulated in this run.
+    /// Without a journal, deadline or cancellation (the plain wrappers'
+    /// request) that can only be a point that panicked.
+    pub(crate) fn into_points(self) -> Vec<SweepPoint> {
+        self.points
+            .into_iter()
+            .map(|rec| match rec.state {
+                PointState::Done(point) => *point,
+                // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
+                _ => panic!("sweep point {} ({}) {}", rec.index, rec.label, rec.outcome),
+            })
+            .collect()
+    }
+
     /// Number of points whose outcome has the given class.
     pub fn count(&self, class: &str) -> usize {
         self.points.iter().filter(|p| p.outcome.class() == class).count()
@@ -929,6 +870,8 @@ impl SweepRun {
         s.push_str(&format!("  \"points\": {},\n", self.points.len()));
         s.push_str(&format!("  \"cancelled\": {},\n", self.cancelled));
         s.push_str("  \"job_outcomes\": {\n");
+        // `retried` always reads 0 (points are never retried); the key
+        // stays so the schema does not change.
         for class in ["ok", "retried", "panicked", "timed_out", "skipped"] {
             s.push_str(&format!("    \"{class}\": {},\n", self.count(class)));
         }
@@ -995,13 +938,12 @@ fn sweep_fingerprint(
     fingerprint64(&desc)
 }
 
-/// [`run_sweep_jobs`] under full supervision: panic isolation with
-/// bounded retry and quarantine, optional per-point deadlines, optional
-/// durable journaling with resume, and cooperative cancellation.
-///
-/// With a default policy, no journal, and no cancellation this computes
-/// exactly what [`run_sweep_jobs`] computes (bit-for-bit, any worker
-/// count) — it just survives what the plain sweep dies from.
+/// The sweep driver: plans deduplicated units, fills them from the
+/// result cache, warms shared cores and runs the rest under supervision
+/// — panic isolation with quarantine, optional per-point deadlines,
+/// optional durable journaling with resume, and cooperative
+/// cancellation. [`run_sweep_jobs_reuse`] and its wrappers are this
+/// driver with every supervision knob off.
 ///
 /// # Errors
 ///
@@ -1090,7 +1032,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         &scheme_spec,
         &baseline_spec,
         req.reuse.dedup,
-        req.inject_panic.map(|inj| inj.point),
+        req.inject_panic,
     );
 
     // Level 2: prefill units from the persistent cache (dedup-on only —
@@ -1211,7 +1153,6 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     let workload = req.workload.clone();
     let opts = req.opts;
     let inject = req.inject_panic;
-    let inject_runs = Arc::new(AtomicU32::new(0));
     let cancel_limit = req.cancel_after;
     let job_cancel = req.cancel.clone();
     // Worker-side completion tracker behind --cancel-after: cancellation
@@ -1220,17 +1161,11 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     // cache-completed points never count.
     let tracker = Arc::new(Mutex::new((remaining.clone(), 0usize)));
     let track_members: Arc<Vec<Vec<usize>>> = Arc::new(members);
-    // Per-worker arenas, checkout-stack style: the supervisor shares one
-    // `Fn` across workers, so arenas are popped for a run and pushed
-    // back after. A panicked attempt simply drops its arena (the next
-    // checkout starts fresh) — retry-safety is untouched, and arena
-    // reuse is results-neutral by construction (see `SimArena`).
-    let arenas: Arc<Mutex<Vec<SimArena>>> = Arc::new(Mutex::new(Vec::new()));
     let job_warm = Arc::clone(&warm);
     let job_members = Arc::clone(&track_members);
     let job = move |_slot: usize, j: &SimJob| -> (usize, Metrics) {
-        if let Some(inj) = inject {
-            if j.rep == inj.point && inject_runs.fetch_add(1, Ordering::SeqCst) < inj.attempts {
+        if let Some(point) = inject {
+            if j.rep == point {
                 // The documented `--inject-panic` crash-recovery hook.
                 // Only the poisoned point's own (salted, private) units
                 // can reach here — no shared unit has it as rep.
@@ -1239,14 +1174,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             }
         }
         let cores = &job_warm.sets[job_warm.of_point[j.rep]];
-        let mut arena = match arenas.lock() {
-            Ok(mut stack) => stack.pop().unwrap_or_default(),
-            Err(_) => SimArena::default(),
-        };
-        let m = run_workload_warmed_arena(&workload, &j.cfg, &j.setup, &opts, cores, &mut arena);
-        if let Ok(mut stack) = arenas.lock() {
-            stack.push(arena);
-        }
+        let m = run_workload_warmed(&workload, &j.cfg, &j.setup, &opts, cores);
         if cancel_limit.is_some() {
             if let Ok(mut t) = tracker.lock() {
                 let (left, completed) = &mut *t;
@@ -1274,7 +1202,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     let cancel = req.cancel.clone();
     let mut remaining_c = remaining;
     let collect_members = Arc::clone(&track_members);
-    let report = supervise_map_ordered(
+    let report = supervise_map(
         sim_jobs,
         &req.policy,
         &req.cancel,
@@ -1321,7 +1249,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     // real run.
     if let Some(c) = cache.as_mut() {
         for (u, unit) in plan.units.iter().enumerate() {
-            if from_cache[u] || req.inject_panic.is_some_and(|inj| unit.rep == inj.point) {
+            if from_cache[u] || req.inject_panic == Some(unit.rep) {
                 continue;
             }
             if let Some(m) = &unit_results[u] {
@@ -1392,6 +1320,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             cache_hits,
             simulated: sim_unit_ids.len(),
         },
+        sim_wall: report.wall,
     })
 }
 
@@ -1411,24 +1340,21 @@ struct SimJob {
 }
 
 /// Terminal outcome of a point from the outcomes of the units it
-/// waited on: the worse one wins (quarantine > skip > retry > ok), and
-/// two retried units report the larger attempt count.
+/// waited on: the worse one wins (quarantine > skip > ok); on a tie the
+/// first (scheme) unit's outcome stands.
 fn merge_outcomes(a: JobOutcome, b: JobOutcome) -> JobOutcome {
     fn rank(o: &JobOutcome) -> u32 {
         match o {
-            JobOutcome::Panicked { .. } => 4,
-            JobOutcome::TimedOut { .. } => 3,
-            JobOutcome::Skipped => 2,
-            JobOutcome::Retried { .. } => 1,
+            JobOutcome::Panicked { .. } => 3,
+            JobOutcome::TimedOut { .. } => 2,
+            JobOutcome::Skipped => 1,
             JobOutcome::Ok => 0,
         }
     }
-    match (&a, &b) {
-        (JobOutcome::Retried { attempts: x }, JobOutcome::Retried { attempts: y }) => {
-            JobOutcome::Retried { attempts: (*x).max(*y) }
-        }
-        _ if rank(&b) > rank(&a) => b,
-        _ => a,
+    if rank(&b) > rank(&a) {
+        b
+    } else {
+        a
     }
 }
 
@@ -1700,15 +1626,14 @@ mod tests {
     fn merge_outcomes_ranks_worst_first() {
         use JobOutcome::*;
         assert_eq!(merge_outcomes(Ok, Ok), Ok);
-        assert_eq!(merge_outcomes(Ok, Retried { attempts: 2 }), Retried { attempts: 2 });
+        assert_eq!(merge_outcomes(Ok, Skipped), Skipped);
         assert_eq!(
-            merge_outcomes(Retried { attempts: 2 }, Retried { attempts: 3 }),
-            Retried { attempts: 3 }
+            merge_outcomes(Skipped, Panicked { message: "boom".into() }),
+            Panicked { message: "boom".into() }
         );
-        assert_eq!(merge_outcomes(Retried { attempts: 2 }, Skipped), Skipped);
         assert_eq!(
-            merge_outcomes(Skipped, Panicked { attempts: 1, message: "boom".into() }),
-            Panicked { attempts: 1, message: "boom".into() }
+            merge_outcomes(Panicked { message: "a".into() }, Panicked { message: "b".into() }),
+            Panicked { message: "a".into() }
         );
         assert_eq!(
             merge_outcomes(TimedOut { deadline_ms: 5 }, Ok),
@@ -1736,7 +1661,7 @@ mod tests {
                     index: 1,
                     label: "pt=560t [FPB]".to_string(),
                     state: PointState::Failed,
-                    outcome: JobOutcome::Panicked { attempts: 2, message: "boom".to_string() },
+                    outcome: JobOutcome::Panicked { message: "boom".to_string() },
                 },
                 SweepPointRecord {
                     index: 2,
@@ -1749,6 +1674,7 @@ mod tests {
             dropped_journal_lines: 0,
             cancelled: true,
             reuse: ReuseStats::default(),
+            sim_wall: Duration::ZERO,
         };
         let json = run.to_json();
         assert!(json.contains("\"schema\": \"fpb-sweep/v1\""));

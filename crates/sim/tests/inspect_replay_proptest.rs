@@ -33,8 +33,7 @@ const SPECS: [&str; 4] = ["dimm-chip", "fpb", "gcp:ne:0.5", "fpb+wc+wp+wt8"];
 const INSTRUCTIONS: u64 = 8_000;
 
 fn cfg_for(seed: u64, faulty: bool) -> SystemConfig {
-    let mut cfg = SystemConfig::default();
-    cfg.seed = seed;
+    let mut cfg = SystemConfig { seed, ..SystemConfig::default() };
     if faulty {
         cfg = cfg.with_faults(FaultConfig {
             verify_fail_prob: 0.25,

@@ -1,13 +1,12 @@
-//! End-to-end guarantees of the supervised sweep: equivalence with the
-//! plain sweep, quarantine behavior, retries, and byte-identical
-//! journal resume.
+//! End-to-end guarantees of the supervised sweep: quarantine behavior,
+//! result reuse under a journal, and byte-identical journal resume.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use fpb_sim::journal::JournalMode;
 use fpb_sim::sweep::{
-    run_sweep_jobs, run_sweep_supervised, Axis, PanicInjection, PointState, ReuseOptions,
-    SupervisedSweepRequest, SweepError, SweepRun,
+    run_sweep_supervised, Axis, ReuseOptions, SupervisedSweepRequest, SweepError, SweepRun,
 };
 use fpb_sim::{CancelToken, JobOutcome, SimOptions, SupervisePolicy};
 use fpb_trace::catalog;
@@ -32,7 +31,7 @@ fn request<'a>(wl: &'a Workload, axes: &'a [Axis]) -> SupervisedSweepRequest<'a>
         scheme: "fpb",
         baseline: "dimm-chip",
         opts: SimOptions::with_instructions(INSTRUCTIONS),
-        policy: SupervisePolicy { backoff_base_ms: 1, backoff_cap_ms: 2, ..SupervisePolicy::default() },
+        policy: SupervisePolicy::default(),
         journal: None,
         cancel: CancelToken::new(),
         cancel_after: None,
@@ -50,43 +49,12 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn supervised_matches_plain_sweep_bit_for_bit() {
-    let wl = workload();
-    let axes = axes();
-    let plain = run_sweep_jobs(
-        &wl,
-        SystemConfig::default(),
-        &axes,
-        "fpb",
-        "dimm-chip",
-        &SimOptions::with_instructions(INSTRUCTIONS),
-        1,
-    );
-    for jobs in [1, 3] {
-        let mut req = request(&wl, &axes);
-        req.policy.jobs = jobs;
-        let run = run_sweep_supervised(req).expect("healthy sweep");
-        assert!(run.complete() && !run.cancelled);
-        assert_eq!(run.points.len(), plain.len());
-        for (rec, expect) in run.points.iter().zip(&plain) {
-            assert_eq!(rec.outcome, JobOutcome::Ok);
-            let PointState::Done(point) = &rec.state else {
-                panic!("expected Done, got {:?}", rec.state)
-            };
-            assert_eq!(point.label, expect.label, "jobs={jobs}");
-            assert_eq!(point.metrics, expect.metrics, "jobs={jobs} {}", expect.label);
-            assert_eq!(point.baseline, expect.baseline, "jobs={jobs} {}", expect.label);
-        }
-    }
-}
-
-#[test]
 fn deterministic_panic_quarantines_one_point_and_finishes_the_grid() {
     let wl = workload();
     let axes = axes();
     let mut req = request(&wl, &axes);
     req.policy.jobs = 2;
-    req.inject_panic = Some(PanicInjection { point: 2, attempts: u32::MAX });
+    req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("sweep itself succeeds");
     assert_eq!(run.count("ok"), 3);
     assert_eq!(run.count("panicked"), 1);
@@ -94,36 +62,13 @@ fn deterministic_panic_quarantines_one_point_and_finishes_the_grid() {
     let q = run.quarantined();
     assert_eq!(q.len(), 1);
     assert_eq!(q[0].index, 2);
-    let JobOutcome::Panicked { attempts, message } = &q[0].outcome else {
+    let JobOutcome::Panicked { message } = &q[0].outcome else {
         panic!("expected Panicked, got {:?}", q[0].outcome)
     };
-    assert_eq!(*attempts, 1, "no retries configured");
     assert!(message.contains("injected panic at point 2"), "{message}");
     let json = run.to_json();
     assert!(json.contains("\"panicked\": 1,"), "{json}");
     assert!(json.contains("\"class\": \"panicked\""), "{json}");
-}
-
-#[test]
-fn transient_panic_is_retried_and_metrics_match_clean_run() {
-    let wl = workload();
-    let axes = axes();
-    let clean = {
-        let req = request(&wl, &axes);
-        run_sweep_supervised(req).expect("clean run")
-    };
-    let mut req = request(&wl, &axes);
-    req.policy.max_retries = 2;
-    req.inject_panic = Some(PanicInjection { point: 1, attempts: 1 });
-    let run = run_sweep_supervised(req).expect("retried run");
-    assert_eq!(run.points[1].outcome, JobOutcome::Retried { attempts: 2 });
-    assert!(run.complete());
-    let (PointState::Done(a), PointState::Done(b)) =
-        (&run.points[1].state, &clean.points[1].state)
-    else {
-        panic!("both runs must complete point 1")
-    };
-    assert_eq!(a.metrics, b.metrics, "retried result must equal a clean run's");
 }
 
 fn journaled_run(
@@ -188,7 +133,7 @@ fn crash_at_point_k_then_resume_is_byte_identical() {
     let path = tmp("crash_resume.fpbj");
     let mut req = request(&wl, &axes);
     req.journal = Some(JournalMode::Fresh(path.clone()));
-    req.inject_panic = Some(PanicInjection { point: 1, attempts: u32::MAX });
+    req.inject_panic = Some(1);
     let crashed = run_sweep_supervised(req).expect("crashed run still reports");
     assert_eq!(crashed.count("panicked"), 1);
     assert_eq!(crashed.count("ok"), 3);
@@ -216,6 +161,7 @@ fn warm_cache_completes_journaled_sweeps_and_journal_outranks_cache() {
     let seeded = run_sweep_supervised(req).expect("seeding run");
     assert_eq!(seeded.reuse.cache_hits, 0);
     assert!(seeded.reuse.simulated > 0);
+    assert!(seeded.sim_wall > Duration::ZERO, "the simulation phase is timed");
     assert_eq!(seeded.to_json(), clean.to_json(), "cache writes must not change results");
 
     // A journaled run over the warm cache completes without simulating:
@@ -228,6 +174,7 @@ fn warm_cache_completes_journaled_sweeps_and_journal_outranks_cache() {
     req.reuse.cache = Some(cache.clone());
     let warm = run_sweep_supervised(req).expect("warm run");
     assert_eq!(warm.reuse.simulated, 0, "{:?}", warm.reuse);
+    assert_eq!(warm.sim_wall, Duration::ZERO, "no simulation phase to time");
     assert_eq!(warm.reuse.cache_hits, warm.reuse.runs_unique);
     assert!(warm.complete() && !warm.cancelled);
     assert_eq!(warm.to_json(), clean.to_json(), "cache splice must be byte-identical");
@@ -260,7 +207,7 @@ fn injected_panic_fires_even_with_a_warm_cache() {
     // the panic still fires; the other points splice from the cache.
     let mut req = request(&wl, &axes);
     req.reuse.cache = Some(cache.clone());
-    req.inject_panic = Some(PanicInjection { point: 2, attempts: u32::MAX });
+    req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("sweep itself succeeds");
     assert_eq!(run.count("panicked"), 1, "warm cache must not disarm --inject-panic");
     assert_eq!(run.count("ok"), 3);

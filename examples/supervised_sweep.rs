@@ -1,18 +1,16 @@
-//! Supervised sweeps: panic isolation, retries, and checkpoint/resume.
+//! Supervised sweeps: panic isolation and checkpoint/resume.
 //!
-//! Walks the three failure stories `fpb sweep` handles (DESIGN.md §11):
-//! a transiently-failing point that a retry rescues, a poisoned point
-//! that is quarantined without aborting the grid, and an interrupted
-//! journaled sweep resumed to a byte-identical final report.
+//! Walks the two failure stories `fpb sweep` handles (DESIGN.md §11):
+//! a poisoned point that is quarantined without aborting the grid, and
+//! an interrupted journaled sweep resumed to a byte-identical final
+//! report.
 //!
 //! ```sh
 //! cargo run --release --example supervised_sweep
 //! ```
 
 use fpb::sim::journal::JournalMode;
-use fpb::sim::sweep::{
-    run_sweep_supervised, Axis, PanicInjection, ReuseOptions, SupervisedSweepRequest,
-};
+use fpb::sim::sweep::{run_sweep_supervised, Axis, ReuseOptions, SupervisedSweepRequest};
 use fpb::sim::{CancelToken, SimOptions, SupervisePolicy};
 use fpb::trace::catalog;
 use fpb::trace::Workload;
@@ -26,7 +24,7 @@ fn request<'a>(wl: &'a Workload, axes: &'a [Axis]) -> SupervisedSweepRequest<'a>
         scheme: "fpb",
         baseline: "dimm-chip",
         opts: SimOptions::with_instructions(3_000),
-        policy: SupervisePolicy { backoff_base_ms: 1, backoff_cap_ms: 2, ..Default::default() },
+        policy: SupervisePolicy::default(),
         journal: None,
         cancel: CancelToken::new(),
         cancel_after: None,
@@ -41,25 +39,17 @@ fn main() {
     let wl = catalog::workload("cop_m").expect("catalog workload");
     let axes = vec![Axis::pt_dimm(&[466, 560]), Axis::e_gcp(&[0.6, 0.9])];
 
-    // 1. A point that panics once, with a retry budget: the supervisor
-    //    re-runs it and the sweep still completes every point.
+    // 1. A point that panics: quarantined and reported, the other three
+    //    points finish normally.
     let mut req = request(&wl, &axes);
-    req.policy.max_retries = 2;
-    req.inject_panic = Some(PanicInjection { point: 1, attempts: 1 });
-    let run = run_sweep_supervised(req).expect("retried sweep");
-    println!("transient failure:  {} ok, {} retried (grid complete: {})", run.count("ok"), run.count("retried"), run.complete());
-
-    // 2. A point that panics on every attempt: quarantined and reported,
-    //    the other three points finish normally.
-    let mut req = request(&wl, &axes);
-    req.inject_panic = Some(PanicInjection { point: 2, attempts: u32::MAX });
+    req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("quarantine sweep");
     for q in run.quarantined() {
         println!("quarantined:        point {} ({}) — {}", q.index, q.label, q.outcome);
     }
     println!("despite the panic:  {} ok, {} panicked", run.count("ok"), run.count("panicked"));
 
-    // 3. Checkpoint/resume: journal a run cancelled after two points,
+    // 2. Checkpoint/resume: journal a run cancelled after two points,
     //    then resume it; the final JSON is byte-identical to a clean run.
     let journal = std::env::temp_dir().join("supervised_sweep_example.fpbj");
     std::fs::remove_file(&journal).ok();

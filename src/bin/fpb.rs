@@ -16,7 +16,7 @@ use fpb::analyze::{
 use fpb::cli::{self, Command, LintArgs, LintFormat, RunArgs, SweepControl};
 use fpb::sim::engine::{run_workload_warmed, warm_cores};
 use fpb::sim::journal::JournalMode;
-use fpb::sim::sweep::{run_sweep_supervised, PanicInjection, ReuseOptions, SupervisedSweepRequest};
+use fpb::sim::sweep::{run_sweep_supervised, ReuseOptions, SupervisedSweepRequest};
 use fpb::sim::{run_workload, CancelToken, Metrics, SupervisePolicy};
 use fpb::trace::catalog;
 
@@ -427,17 +427,12 @@ fn run_sweep(
         opts,
         policy: SupervisePolicy {
             jobs: cli::effective_jobs(args.jobs),
-            max_retries: control.retries,
-            backoff_base_ms: control.backoff_ms,
             deadline_ms: control.deadline_ms,
-            ..SupervisePolicy::default()
         },
         journal,
         cancel: CancelToken::new(),
         cancel_after: control.cancel_after,
-        inject_panic: control
-            .inject_panic
-            .map(|(point, attempts)| PanicInjection { point, attempts }),
+        inject_panic: control.inject_panic,
         reuse,
     })
     .map_err(|e| e.to_string())?;

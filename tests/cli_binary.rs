@@ -63,6 +63,22 @@ fn bad_arguments_fail_with_diagnostics() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
+#[test]
+fn sweep_rejects_retry_flags_naming_the_flag() {
+    // Sweep points are deterministic, so there is no retry: a retry
+    // budget, a backoff, and a panic-attempt count are all usage errors.
+    for (extra, flag) in [
+        (["--retries", "1"], "--retries"),
+        (["--backoff-ms", "5"], "--backoff-ms"),
+        (["--inject-panic", "1:2"], "--inject-panic"),
+    ] {
+        let out = sweep_cmd("1", &extra).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flag} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "stderr must name {flag}: {err}");
+    }
+}
+
 const SWEEP_ARGS: [&str; 8] = [
     "sweep",
     "--workload",

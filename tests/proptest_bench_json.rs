@@ -4,16 +4,17 @@
 //! — workload, points, per-point metrics, the `identical` flag — must be
 //! byte-identical between `--jobs 1` and `--jobs N`.
 //!
-//! The second property pins the scheduler itself: the cost estimates fed
-//! to the chunked claim loop steer only *when* items run, so arbitrary
-//! (even adversarially wrong) cost vectors must leave the output array
-//! untouched.
+//! The second property pins the sweep scheduler itself: the cost
+//! estimates behind the supervisor's execution order steer only *when*
+//! items run, so arbitrary (even adversarially wrong) cost vectors must
+//! leave the output array untouched.
 //!
 //! [`BenchReport::metric_fields_json`]: fpb::sim::BenchReport::metric_fields_json
 
 use proptest::prelude::*;
 
-use fpb::sim::{parallel_map_arena, run_fixed_bench_repeats};
+use fpb::sim::supervise::supervise_map;
+use fpb::sim::{run_fixed_bench_repeats, schedule_by_cost, CancelToken, SupervisePolicy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
@@ -43,23 +44,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn parallel_map_arena_invariant_under_arbitrary_costs(
+    fn supervised_output_invariant_under_arbitrary_cost_schedules(
         costs in prop::collection::vec(0u64..1_000_000, 40),
         jobs in 1usize..5,
     ) {
         let items: Vec<u64> = (0..40).collect();
-        let expect: Vec<u64> = items
+        let expect: Vec<Option<u64>> = items
             .iter()
             .enumerate()
-            .map(|(i, &x)| x * 7 + i as u64)
+            .map(|(i, &x)| Some(x * 7 + i as u64))
             .collect();
-        let got = parallel_map_arena(
-            &items,
-            jobs,
-            Some(&costs),
-            |_slot| (),
-            |(), i, &x| x * 7 + i as u64,
+        let report = supervise_map(
+            items,
+            &SupervisePolicy { jobs, ..SupervisePolicy::default() },
+            &CancelToken::new(),
+            Some(schedule_by_cost(&costs)),
+            |i, &x| x * 7 + i as u64,
+            |_, _| {},
         );
-        prop_assert_eq!(got, expect, "output order must ignore the cost schedule");
+        prop_assert_eq!(report.results, expect, "output order must ignore the cost schedule");
     }
 }

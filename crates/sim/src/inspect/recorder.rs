@@ -28,9 +28,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::journal::{crc32, fingerprint64};
+use crate::journal::{fingerprint64, frame_into, framed_lines, unframe};
 
-use super::event::LifecycleEvent;
+use super::event::{push_decimal, LifecycleEvent};
 use super::EventSink;
 
 /// Magic tag opening every event-log line; bump the digit on any format
@@ -99,21 +99,6 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> InspectError {
     InspectError::Io { op, path: path.to_path_buf(), detail: e.to_string() }
 }
 
-/// Renders one framed line (with trailing newline) for `body`.
-fn frame(body: &str) -> String {
-    format!("{EVENT_LOG_MAGIC} {:08x} {body}\n", crc32(body.as_bytes()))
-}
-
-/// Parses one complete line (no trailing newline); `None` if the frame
-/// or checksum is invalid (tail damage).
-fn unframe(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix(EVENT_LOG_MAGIC)?.strip_prefix(' ')?;
-    let (crc_hex, body) = rest.split_at_checked(8)?;
-    let body = body.strip_prefix(' ')?;
-    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    (crc == crc32(body.as_bytes())).then_some(body)
-}
-
 /// An open event log accepting batched appends.
 #[derive(Debug)]
 pub struct EventLogWriter {
@@ -121,6 +106,8 @@ pub struct EventLogWriter {
     path: PathBuf,
     seq: u64,
     buf: String,
+    /// Scratch for one event line's body, reused across appends.
+    body: String,
     pending: u64,
 }
 
@@ -158,9 +145,11 @@ impl EventLogWriter {
             path: path.to_path_buf(),
             seq: 0,
             buf: String::new(),
+            body: String::new(),
             pending: 0,
         };
-        w.buf.push_str(&frame(&format!("h {:016x} {meta}", fingerprint64(meta))));
+        let header = format!("h {:016x} {meta}", fingerprint64(meta));
+        frame_into(&mut w.buf, EVENT_LOG_MAGIC, &header);
         w.flush_sync()?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             if let Ok(d) = File::open(dir) {
@@ -177,7 +166,12 @@ impl EventLogWriter {
     ///
     /// [`InspectError::Io`] if the batched flush fails.
     pub fn append(&mut self, ev: &LifecycleEvent) -> Result<(), InspectError> {
-        self.buf.push_str(&frame(&format!("e {} {}", self.seq, ev.encode())));
+        self.body.clear();
+        self.body.push_str("e ");
+        push_decimal(&mut self.body, self.seq);
+        self.body.push(' ');
+        ev.encode_into(&mut self.body);
+        frame_into(&mut self.buf, EVENT_LOG_MAGIC, &self.body);
         self.seq += 1;
         self.pending += 1;
         if self.pending >= Self::SYNC_BATCH {
@@ -199,7 +193,7 @@ impl EventLogWriter {
     ///
     /// [`InspectError::Io`] if the final write or sync fails.
     pub fn finish(mut self) -> Result<u64, InspectError> {
-        self.buf.push_str(&frame(&format!("z {}", self.seq)));
+        frame_into(&mut self.buf, EVENT_LOG_MAGIC, &format!("z {}", self.seq));
         self.flush_sync()?;
         Ok(self.seq)
     }
@@ -245,19 +239,8 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut buf))
         .map_err(|e| io_err("read", path, &e))?;
-    let text = String::from_utf8_lossy(&buf);
-
-    let mut lines = Vec::new();
-    let mut saw_partial_tail = false;
-    for chunk in text.split_inclusive('\n') {
-        match chunk.strip_suffix('\n') {
-            Some(line) => lines.push(line),
-            None => saw_partial_tail = true, // unterminated torn tail
-        }
-    }
-
-    let mut it = lines.iter();
-    let header = it.next().and_then(|l| unframe(l)).and_then(|body| {
+    let (mut lines, torn_tail) = framed_lines(&buf);
+    let header = lines.next().and_then(|(l, _)| unframe(EVENT_LOG_MAGIC, l)).and_then(|body| {
         let rest = body.strip_prefix("h ")?;
         let (fp_hex, rest) = rest.split_at_checked(16)?;
         let fingerprint = u64::from_str_radix(fp_hex, 16).ok()?;
@@ -270,11 +253,9 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
 
     let mut events = Vec::new();
     let mut complete = false;
-    let mut dropped = usize::from(saw_partial_tail);
-    let mut remaining = it.len();
-    for line in it {
-        remaining -= 1;
-        let parsed = unframe(line).and_then(|body| {
+    let mut dropped = usize::from(torn_tail);
+    while let Some((line, _)) = lines.next() {
+        let parsed = unframe(EVENT_LOG_MAGIC, line).and_then(|body| {
             if let Some(rest) = body.strip_prefix("e ") {
                 let (seq, payload) = rest.split_once(' ')?;
                 // Sequence numbers are dense from 0: a gap or repeat
@@ -295,7 +276,7 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
             _ => {
                 // First invalid line (or anything after a trailer):
                 // everything from here is tail.
-                dropped += 1 + remaining;
+                dropped += 1 + lines.count();
                 break;
             }
         }
@@ -394,6 +375,42 @@ mod tests {
     }
 
     #[test]
+    fn log_bytes_are_pinned() {
+        let path = tmp("pinned.fpbi");
+        let mut w = EventLogWriter::create(&path, "cop_m fpb 40000 1").unwrap();
+        let events = [
+            LifecycleEvent::BrownoutStart { at: 10 },
+            LifecycleEvent::StuckMarked { lines: 1, at: 12 },
+            LifecycleEvent::RoundClosed {
+                id: 7,
+                line: 1234,
+                bank: 2,
+                at: 18,
+                cells: 96,
+                truncated: true,
+                final_round: false,
+                per_chip: vec![12, 0, 84],
+            },
+            LifecycleEvent::RunEnd { at: 99 },
+        ];
+        for ev in &events {
+            w.append(ev).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "fpbi1 f922dab1 h 01594e16f23b2926 cop_m fpb 40000 1\n\
+             fpbi1 e4f548d6 e 0 bs 10\n\
+             fpbi1 131e48a1 e 1 sm 1 12\n\
+             fpbi1 c3bcb717 e 2 rc 7 1234 2 18 96 1 0 3 12 0 84\n\
+             fpbi1 718aff26 e 3 re 99\n\
+             fpbi1 1217e483 z 4\n"
+        );
+        assert_eq!(read_event_log(&path).unwrap().events, events);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn create_refuses_existing_file() {
         let path = tmp("no_clobber.fpbi");
         drop(EventLogWriter::create(&path, "m").unwrap());
@@ -445,10 +462,11 @@ mod tests {
     #[test]
     fn out_of_order_sequence_stops_the_read() {
         let path = tmp("bad_seq.fpbi");
-        let mut text = frame(&format!("h {:016x} m", fingerprint64("m")));
-        text.push_str(&frame(&format!("e 0 {}", LifecycleEvent::RunEnd { at: 1 }.encode())));
+        let mut text = String::new();
+        frame_into(&mut text, EVENT_LOG_MAGIC, &format!("h {:016x} m", fingerprint64("m")));
+        frame_into(&mut text, EVENT_LOG_MAGIC, "e 0 re 1");
         // Valid CRC, wrong sequence number: belongs to another attempt.
-        text.push_str(&frame(&format!("e 7 {}", LifecycleEvent::RunEnd { at: 2 }.encode())));
+        frame_into(&mut text, EVENT_LOG_MAGIC, "e 7 re 2");
         std::fs::write(&path, text).unwrap();
         let log = read_event_log(&path).unwrap();
         assert_eq!(log.events.len(), 1);

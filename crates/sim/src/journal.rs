@@ -39,9 +39,42 @@ use std::path::{Path, PathBuf};
 /// change so old readers fail loudly instead of misparsing.
 const MAGIC: &str = "fpbj1";
 
-/// CRC-32 (IEEE 802.3, reflected, the `cksum`/zlib polynomial), bitwise.
-/// Speed is irrelevant here — journal lines are short and appends are
-/// dominated by the fsync.
+/// Slice-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table; `CRC_TABLES[k][b]` advances the CRC of
+/// byte `b` through `k` further zero bytes, so eight table reads fold
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(c & 1));
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected, the `cksum`/zlib polynomial),
+/// slice-by-8. Every journal and event-log line is checksummed on write
+/// and again on each read, and an `fpbi1` log of a 1M-instruction run
+/// is ~12 MB.
 ///
 /// # Examples
 ///
@@ -50,13 +83,24 @@ const MAGIC: &str = "fpbj1";
 /// assert_eq!(fpb_sim::journal::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |v: u32, shift: u32| usize::from((v >> shift) as u8);
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -207,19 +251,48 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> JournalError {
     JournalError::Io { op, path: path.to_path_buf(), detail: e.to_string() }
 }
 
-/// Renders one framed line (with trailing newline) for `body`.
-fn frame(body: &str) -> String {
-    format!("{MAGIC} {:08x} {body}\n", crc32(body.as_bytes()))
+/// Appends one framed line for `body` to `out`:
+/// `<magic> <crc32-8hex> <body>\n`, the CRC covering `body` alone. The
+/// `fpbj1` journal and the `fpbi1` event log share this framing and
+/// differ only in `magic`.
+pub(crate) fn frame_into(out: &mut String, magic: &str, body: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let crc = crc32(body.as_bytes());
+    out.push_str(magic);
+    out.push(' ');
+    for shift in (0..8).rev() {
+        out.push(char::from(HEX[((crc >> (4 * shift)) & 0xF) as usize]));
+    }
+    out.push(' ');
+    out.push_str(body);
+    out.push('\n');
 }
 
-/// Parses one complete line (no trailing newline); `None` if the frame
-/// or checksum is invalid (tail damage).
-fn unframe(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix(MAGIC)?.strip_prefix(' ')?;
+/// Parses one complete line (no trailing newline) framed with `magic`;
+/// `None` if the frame or checksum is invalid, or the body is not UTF-8
+/// (tail damage).
+pub(crate) fn unframe<'a>(magic: &str, line: &'a [u8]) -> Option<&'a str> {
+    let rest = line.strip_prefix(magic.as_bytes())?.strip_prefix(b" ")?;
     let (crc_hex, body) = rest.split_at_checked(8)?;
-    let body = body.strip_prefix(' ')?;
-    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    (crc == crc32(body.as_bytes())).then_some(body)
+    let body = body.strip_prefix(b" ")?;
+    let crc = u32::from_str_radix(std::str::from_utf8(crc_hex).ok()?, 16).ok()?;
+    if crc != crc32(body) {
+        return None;
+    }
+    std::str::from_utf8(body).ok()
+}
+
+/// Splits a framed file into its complete lines, each without its `\n`
+/// and paired with the byte offset just past it. The flag is true when
+/// an unterminated fragment (a torn append) follows the last complete
+/// line.
+pub(crate) fn framed_lines(buf: &[u8]) -> (impl Iterator<Item = (&[u8], u64)>, bool) {
+    let complete = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let lines = buf[..complete].split_inclusive(|&b| b == b'\n').scan(0u64, |end, chunk| {
+        *end += chunk.len() as u64;
+        Some((chunk.strip_suffix(b"\n").unwrap_or(chunk), *end))
+    });
+    (lines, complete < buf.len())
 }
 
 fn header_body(h: &JournalHeader) -> String {
@@ -251,30 +324,15 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut buf))
         .map_err(|e| io_err("read", path, &e))?;
-    let text = String::from_utf8_lossy(&buf);
-
-    let mut offset = 0u64; // bytes consumed including each line's '\n'
-    let mut lines = Vec::new(); // (line, end_offset) for complete lines
-    let mut saw_partial_tail = false;
-    for chunk in text.split_inclusive('\n') {
-        offset += chunk.len() as u64;
-        match chunk.strip_suffix('\n') {
-            Some(line) => lines.push((line, offset)),
-            None => saw_partial_tail = true, // unterminated torn tail
-        }
-    }
-
-    let mut it = lines.iter();
-    let Some(header) = it.next().and_then(|(l, _)| unframe(l)).and_then(parse_header) else {
+    let (mut lines, torn_tail) = framed_lines(&buf);
+    let header = lines.next().and_then(|(l, end)| Some((parse_header(unframe(MAGIC, l)?)?, end)));
+    let Some((header, mut valid_bytes)) = header else {
         return Err(JournalError::MissingHeader(path.to_path_buf()));
     };
-    let mut valid_bytes = lines[0].1;
     let mut records = Vec::new();
-    let mut dropped = usize::from(saw_partial_tail);
-    let mut remaining = it.len();
-    for (line, end) in it {
-        remaining -= 1;
-        match unframe(line).and_then(parse_record) {
+    let mut dropped = usize::from(torn_tail);
+    while let Some((line, end)) = lines.next() {
+        match unframe(MAGIC, line).and_then(parse_record) {
             Some(rec) => {
                 if rec.index >= header.points {
                     return Err(JournalError::IndexOutOfRange {
@@ -283,11 +341,11 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
                     });
                 }
                 records.push(rec);
-                valid_bytes = *end;
+                valid_bytes = end;
             }
             None => {
                 // First invalid line: everything from here is tail.
-                dropped += 1 + remaining;
+                dropped += 1 + lines.count();
                 break;
             }
         }
@@ -320,7 +378,7 @@ impl JournalWriter {
             }
         })?;
         let mut w = JournalWriter { file, path: path.to_path_buf() };
-        w.write_line(&frame(&header_body(header)))?;
+        w.write_line(&header_body(header))?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             if let Ok(d) = File::open(dir) {
                 let _ = d.sync_all();
@@ -362,10 +420,13 @@ impl JournalWriter {
         if payload.contains('\n') {
             return Err(JournalError::EmbeddedNewline);
         }
-        self.write_line(&frame(&format!("r {index} {payload}")))
+        self.write_line(&format!("r {index} {payload}"))
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
+    /// Frames `body` as one line, appends it, and syncs it to disk.
+    fn write_line(&mut self, body: &str) -> Result<(), JournalError> {
+        let mut line = String::new();
+        frame_into(&mut line, MAGIC, body);
         self.file
             .write_all(line.as_bytes())
             .and_then(|()| self.file.flush())
@@ -457,7 +518,8 @@ mod tests {
         bytes[n - 2] ^= 0x20;
         // And append a structurally fine line *after* the corruption —
         // it must be dropped too (tail policy: stop at first bad line).
-        let tail = frame("r 1 beta");
+        let mut tail = String::new();
+        frame_into(&mut tail, MAGIC, "r 1 beta");
         bytes.extend_from_slice(tail.as_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
@@ -493,7 +555,9 @@ mod tests {
         let path = tmp("oob.fpbj");
         drop(JournalWriter::create(&path, &header()).unwrap());
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(frame("r 99 whatever").as_bytes()).unwrap();
+        let mut line = String::new();
+        frame_into(&mut line, MAGIC, "r 99 whatever");
+        f.write_all(line.as_bytes()).unwrap();
         drop(f);
         assert_eq!(
             read_journal(&path).unwrap_err(),
@@ -519,6 +583,76 @@ mod tests {
         // FNV-1a 64 reference vectors.
         assert_eq!(fingerprint64(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fingerprint64("a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// Bitwise CRC-32, one shift/xor per bit: the reference the table
+    /// version must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_matches_bitwise_reference() {
+        // Lengths 0..=64 cover every `chunks_exact(8)` remainder with
+        // zero to eight full chunks ahead of it.
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        for len in 0..=64 {
+            for _ in 0..32 {
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        (state >> 56) as u8
+                    })
+                    .collect();
+                assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "{bytes:02x?}");
+            }
+        }
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let path = tmp("pinned.fpbj");
+        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        w.append_record(0, r#"{"index": 0, "cycles": 12}"#).unwrap();
+        w.append_record(3, "").unwrap();
+        drop(w);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "fpbj1 f3d35cbb h deadbeef01234567 9 mcf_m fpb 3x3\n\
+             fpbj1 d4375e64 r 0 {\"index\": 0, \"cycles\": 12}\n\
+             fpbj1 173ab413 r 3 \n"
+        );
+        let c = read_journal(&path).unwrap();
+        assert_eq!(c.records[1], JournalRecord { index: 3, payload: String::new() });
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_utf8_line_is_tail_damage() {
+        let path = tmp("non_utf8.fpbj");
+        drop(JournalWriter::create(&path, &header()).unwrap());
+        let good_len = std::fs::metadata(&path).unwrap().len();
+        let mut line = b"fpbj1 ".to_vec();
+        let body = b"r 1 \xff\xfe";
+        line.extend_from_slice(format!("{:08x} ", crc32(body)).as_bytes());
+        line.extend_from_slice(body);
+        line.push(b'\n');
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&line).unwrap();
+        drop(f);
+        let c = read_journal(&path).unwrap();
+        assert!(c.records.is_empty());
+        assert_eq!(c.dropped_lines, 1);
+        assert_eq!(c.valid_bytes, good_len);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -555,7 +555,6 @@ pub fn link(facts: &[FileFacts]) -> Vec<Violation> {
                 && (s.self_ty.as_deref() == Some("Metrics")
                     || s.self_ty.as_deref() == Some("LifecycleEvent")
                     || s.self_ty.as_deref() == Some("EventLogWriter")
-                    || s.self_ty.as_deref() == Some("MetricsDeriver")
                     || s.file.ends_with("metrics.rs")
                     || s.file.ends_with("report.rs")
                     || s.file.ends_with("inspect/recorder.rs")
@@ -745,6 +744,30 @@ mod tests {
         assert_eq!(taint.len(), 1, "only the sink-reachable source: {found:?}");
         assert_eq!(taint[0].line, 3);
         assert!(taint[0].message.contains("Metrics::render → stamp"));
+    }
+
+    #[test]
+    fn nondet_taint_covers_the_metrics_fold() {
+        // Live runs and replays tally every counter through
+        // `Metrics::apply`, so the fold must be a sink by type and its
+        // file's free helpers by path.
+        let src = "impl Metrics {\n\
+                   pub fn apply(&mut self, ev: &LifecycleEvent) { self.cycles = clock() } }\n\
+                   fn clock() -> u64 { let t = Instant::now(); t.n() }";
+        let found = scan_semantic("crates/sim/src/x.rs", "sim", src);
+        let taint: Vec<&Violation> = found
+            .iter()
+            .filter(|v| v.rule == Rule::NondetTaint)
+            .collect();
+        assert_eq!(taint.len(), 1, "{found:?}");
+        assert!(taint[0].message.contains("Metrics::apply → clock"));
+
+        let src = "fn wear_tracker() -> u64 { let t = Instant::now(); t.n() }";
+        let found = scan_semantic("crates/sim/src/metrics.rs", "sim", src);
+        assert!(
+            found.iter().any(|v| v.rule == Rule::NondetTaint),
+            "metrics file must be a taint sink: {found:?}"
+        );
     }
 
     #[test]

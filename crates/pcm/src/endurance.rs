@@ -55,13 +55,29 @@ impl EnduranceTracker {
         }
     }
 
-    /// Overrides the cells-per-line-per-chip used for wear-density math
-    /// (128 in the baseline: 1024 cells over 8 chips).
-    #[must_use]
-    pub fn with_cells_per_chip(mut self, cells: u64) -> Self {
-        assert!(cells > 0, "cells per chip must be nonzero");
-        self.cells_per_line_per_chip = cells;
-        self
+    /// Like [`EnduranceTracker::new`], with the cells per line per chip
+    /// used for wear-density math given explicitly (`new` assumes the
+    /// baseline's 128: 1024 cells over 8 chips), and `None` wherever
+    /// `new` would panic or `cells_per_chip` is zero — for geometry that
+    /// arrives as data (a recorded run's header) rather than from a
+    /// validated config.
+    pub fn try_new(
+        total_lines: u64,
+        regions: usize,
+        chips: u8,
+        endurance: u64,
+        cells_per_chip: u64,
+    ) -> Option<Self> {
+        if regions == 0 || regions as u64 > total_lines {
+            return None;
+        }
+        EnduranceTracker::from_parts(
+            total_lines.div_ceil(regions as u64),
+            vec![0; regions],
+            vec![0; usize::from(chips)],
+            cells_per_chip,
+            endurance,
+        )
     }
 
     /// Records one completed line write's per-chip changed-cell counts.
@@ -256,6 +272,25 @@ mod tests {
     fn wrong_chip_count_panics() {
         let mut t = tracker();
         t.record_write(LineAddr::new(0), &[1, 2]);
+    }
+
+    #[test]
+    fn try_new_matches_new_and_refuses_what_new_rejects() {
+        assert_eq!(EnduranceTracker::try_new(1024, 16, 8, 1_000_000, 128), Some(tracker()));
+        assert_eq!(
+            EnduranceTracker::try_new(1000, 16, 8, 1_000_000, 64).map(|t| t.to_parts()),
+            Some((63, vec![0; 16], vec![0; 8], 64, 1_000_000))
+        );
+        for (lines, regions, chips, endurance, cells) in [
+            (0, 16, 8, 1_000_000, 64),
+            (1024, 0, 8, 1_000_000, 64),
+            (1024, 16, 0, 1_000_000, 64),
+            (1024, 16, 8, 0, 64),
+            (1024, 16, 8, 1_000_000, 0),
+            (15, 16, 8, 1_000_000, 64),
+        ] {
+            assert_eq!(EnduranceTracker::try_new(lines, regions, chips, endurance, cells), None);
+        }
     }
 
     #[test]

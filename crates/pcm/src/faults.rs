@@ -34,7 +34,6 @@
 //!     .filter(|_| inj.round_fails_verify(LineAddr::new(0)))
 //!     .count();
 //! assert!(flaky > 20 && flaky < 80);
-//! assert_eq!(inj.verify_failures(), flaky as u64);
 //! ```
 
 use std::collections::BTreeSet;
@@ -58,7 +57,6 @@ pub struct FaultInjector {
     /// Lines remapped to spares: healthy again, and exempt from further
     /// stuck-at injection (spares are fresh cells).
     remapped: BTreeSet<u64>,
-    verify_failures: u64,
     stuck_marked: u64,
 }
 
@@ -71,7 +69,6 @@ impl FaultInjector {
             rng,
             stuck: BTreeSet::new(),
             remapped: BTreeSet::new(),
-            verify_failures: 0,
             stuck_marked: 0,
         }
     }
@@ -92,17 +89,12 @@ impl FaultInjector {
     /// `verify_fail_prob` decides, and only if that knob is nonzero.
     pub fn round_fails_verify(&mut self, line: LineAddr) -> bool {
         if self.stuck.contains(&line.get()) {
-            self.verify_failures += 1;
             return true;
         }
         if self.remapped.contains(&line.get()) {
             return false;
         }
-        if self.cfg.verify_fail_prob > 0.0 && self.rng.bernoulli(self.cfg.verify_fail_prob) {
-            self.verify_failures += 1;
-            return true;
-        }
-        false
+        self.cfg.verify_fail_prob > 0.0 && self.rng.bernoulli(self.cfg.verify_fail_prob)
     }
 
     /// Records a completed write to `line` and possibly marks the line
@@ -142,12 +134,6 @@ impl FaultInjector {
     /// True if `line` has been remapped to a spare.
     pub fn is_remapped(&self, line: LineAddr) -> bool {
         self.remapped.contains(&line.get())
-    }
-
-    /// Number of injected verify failures so far (including deterministic
-    /// failures on stuck lines).
-    pub fn verify_failures(&self) -> u64 {
-        self.verify_failures
     }
 
     /// Number of lines marked stuck so far.
@@ -217,7 +203,6 @@ mod tests {
             assert!(!a.round_fails_verify(LineAddr::new(i)));
             a.note_write(LineAddr::new(i), &wear);
         }
-        assert_eq!(a.verify_failures(), 0);
         assert_eq!(a.stuck_lines(), 0);
         // The RNG stream was never touched: it still matches a fresh one.
         let mut fresh = SimRng::seed_from(1);

@@ -91,17 +91,13 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                     if let Some(mut task) = self.wrq.remove(i) {
                         if self.power.try_admit(task.id, task.round_mut()) {
                             self.emit_power(task.id.get(), PowerOp::Admit, true);
-                            if E::ENABLED {
-                                let ev = LifecycleEvent::WriteAdmitted {
-                                    id: task.id.get(),
-                                    bank: task.bank.get(),
-                                    at: self.now.get(),
-                                    queue_delay: self.now.saturating_sub(task.arrival).get(),
-                                };
-                                self.emit(ev);
-                            }
-                            self.metrics.write_queue_delay +=
-                                self.now.saturating_sub(task.arrival).get();
+                            let ev = LifecycleEvent::WriteAdmitted {
+                                id: task.id.get(),
+                                bank: task.bank.get(),
+                                at: self.now.get(),
+                                queue_delay: self.now.saturating_sub(task.arrival).get(),
+                            };
+                            self.record(ev);
                             task.round_started_at = self.now;
                             self.issue_write(bank, task);
                             continue; // same index now holds the next entry
@@ -343,20 +339,17 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             for w in rounds.iter_mut() {
                 w.degrade_to_slc();
             }
-            self.metrics.faults.degraded_writes += 1;
         }
         self.next_write_id += 1;
-        if E::ENABLED {
-            let ev = LifecycleEvent::WriteCreated {
-                id: self.next_write_id,
-                line: line.get(),
-                bank: line.bank_of(self.cfg.pcm.banks).get(),
-                at: self.now.get(),
-                rounds: rounds.len() as u64,
-                degraded: self.degraded,
-            };
-            self.emit(ev);
-        }
+        let ev = LifecycleEvent::WriteCreated {
+            id: self.next_write_id,
+            line: line.get(),
+            bank: line.bank_of(self.cfg.pcm.banks).get(),
+            at: self.now.get(),
+            rounds: rounds.len() as u64,
+            degraded: self.degraded,
+        };
+        self.record(ev);
         WriteTask {
             id: WriteId::new(self.next_write_id),
             line,

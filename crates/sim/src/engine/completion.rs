@@ -68,57 +68,37 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 }
             }
         }
-        self.metrics.write_rounds += 1;
-        if self.metrics.per_chip_cells.is_empty() {
-            self.metrics.per_chip_cells = vec![0; self.cfg.pcm.chips as usize];
-        }
-        let per_chip = task.round().per_chip_changed();
-        self.endurance.record_write(task.line, &per_chip);
-        let stuck_before = self.faults.as_ref().map(|inj| inj.stuck_marked());
-        if let Some(inj) = self.faults.as_mut() {
-            inj.note_write(task.line, &self.endurance);
-        }
-        if E::ENABLED {
-            if let Some(before) = stuck_before {
-                // The injector marks at most one stuck line per write;
-                // a nonzero delta is the recorded mark.
-                let marked = self
-                    .faults
-                    .as_ref()
-                    .map(|inj| inj.stuck_marked() - before)
-                    .unwrap_or(0);
-                if marked > 0 {
-                    let ev = LifecycleEvent::StuckMarked {
-                        lines: marked,
-                        at: self.now.get(),
-                    };
-                    self.emit(ev);
-                }
+        let closed = LifecycleEvent::RoundClosed {
+            id: task.id.get(),
+            line: task.line.get(),
+            bank: bank as u8,
+            at: self.now.get(),
+            cells: task.round().total_changed() as u64,
+            truncated: task.round().was_truncated(),
+            final_round: task.current_round + 1 >= task.rounds.len(),
+            per_chip: task.round().per_chip_changed(),
+        };
+        // The round's wear must reach the endurance tracker before the
+        // fault model reads it, while in the recorded stream the stuck
+        // mark that read causes precedes the round (the `fpbi1` order):
+        // fold now, emit after the mark.
+        self.metrics.apply(&closed);
+        if let (Some(inj), Some(wear)) = (self.faults.as_mut(), self.metrics.endurance.as_ref()) {
+            let before = inj.stuck_marked();
+            inj.note_write(task.line, wear);
+            // The injector marks at most one stuck line per write; a
+            // nonzero delta is the recorded mark.
+            let marked = inj.stuck_marked() - before;
+            if marked > 0 {
+                let ev = LifecycleEvent::StuckMarked {
+                    lines: marked,
+                    at: self.now.get(),
+                };
+                self.record(ev);
             }
         }
         if E::ENABLED {
-            let ev = LifecycleEvent::RoundClosed {
-                id: task.id.get(),
-                line: task.line.get(),
-                bank: bank as u8,
-                at: self.now.get(),
-                cells: task.round().total_changed() as u64,
-                truncated: task.round().was_truncated(),
-                final_round: task.current_round + 1 >= task.rounds.len(),
-                per_chip: per_chip.clone(),
-            };
-            self.emit(ev);
-        }
-        for (acc, c) in self.metrics.per_chip_cells.iter_mut().zip(per_chip) {
-            *acc += c as u64;
-        }
-        // Cells are programmed when their round closes, so the global and
-        // per-chip tallies accumulate at the same point — the two always
-        // agree even when a later round of the same task is still in
-        // flight at the end of the run.
-        self.metrics.cells_written += task.round().total_changed() as u64;
-        if task.round().was_truncated() {
-            self.metrics.truncations += 1;
+            self.emit(closed);
         }
         // The round closed: its recovery bookkeeping starts fresh.
         task.retries = 0;
@@ -132,7 +112,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             };
         } else {
             self.transition(task.id, bank, from, WriteStage::Done);
-            self.metrics.pcm_writes += 1;
             if self.scrub_period.is_some() {
                 if self.recent_writes.len() >= 4096 {
                     self.recent_writes.pop_front();
@@ -156,17 +135,14 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         let fcfg = self.cfg.faults.clone();
         if task.retries < fcfg.max_retries {
             task.retries += 1;
-            self.metrics.faults.retries += 1;
-            if E::ENABLED {
-                let ev = LifecycleEvent::VerifyFailed {
-                    id: task.id.get(),
-                    line: task.line.get(),
-                    at: self.now.get(),
-                    remapped: false,
-                    retries: u64::from(task.retries),
-                };
-                self.emit(ev);
-            }
+            let ev = LifecycleEvent::VerifyFailed {
+                id: task.id.get(),
+                line: task.line.get(),
+                at: self.now.get(),
+                remapped: false,
+                retries: u64::from(task.retries),
+            };
+            self.record(ev);
             // Doubling backoff, shift-clamped so u8::MAX retries cannot
             // overflow the cycle math.
             let backoff = fcfg
@@ -185,18 +161,14 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             if let Some(inj) = self.faults.as_mut() {
                 inj.remap(task.line);
             }
-            self.metrics.faults.remaps += 1;
-            self.metrics.faults.slc_fallbacks += 1;
-            if E::ENABLED {
-                let ev = LifecycleEvent::VerifyFailed {
-                    id: task.id.get(),
-                    line: task.line.get(),
-                    at: self.now.get(),
-                    remapped: true,
-                    retries: u64::from(task.retries),
-                };
-                self.emit(ev);
-            }
+            let ev = LifecycleEvent::VerifyFailed {
+                id: task.id.get(),
+                line: task.line.get(),
+                at: self.now.get(),
+                remapped: true,
+                retries: u64::from(task.retries),
+            };
+            self.record(ev);
             task.retries = 0;
             task.round_mut().restart();
             task.round_mut().degrade_to_slc();
@@ -212,7 +184,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         self.power.release(task.id);
         self.emit_power(task.id.get(), PowerOp::Release, true);
         task.round_mut().restart();
-        self.metrics.cancellations += 1;
         self.wrq.push_front(task);
     }
 }

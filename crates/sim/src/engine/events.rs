@@ -13,21 +13,34 @@ use crate::scheme::{Scheme, WriteLifecycle, WriteStage};
 use super::{BankState, System};
 
 impl<S: Scheme, E: EventSink> System<S, E> {
-    // ---- lifecycle-event emission ----
+    // ---- lifecycle events: counting and emission ----
     //
-    // Every helper below is guarded by `E::ENABLED`, so with the default
-    // `NullSink` the emission sites (including the event construction and
-    // any allocation it implies) const-fold to nothing.
+    // An event some counter reads goes through `record`, which folds it
+    // into the metrics and, with a live sink, emits it. Every other event
+    // is built and emitted inside an `E::ENABLED` guard, so with the
+    // default `NullSink` those sites (including the event construction
+    // and any allocation it implies) const-fold to nothing.
 
-    /// Emits one lifecycle event. Callers construct the event inside
-    /// their own `E::ENABLED` guard.
+    /// Folds a counted event into the metrics ([`crate::Metrics::apply`],
+    /// the same fold replay runs) and emits it to a live sink.
+    #[inline(always)]
+    pub(super) fn record(&mut self, ev: LifecycleEvent) {
+        self.metrics.apply(&ev);
+        if E::ENABLED {
+            self.sink.emit(ev);
+        }
+    }
+
+    /// Emits one event no counter reads. Callers construct the event
+    /// inside their own `E::ENABLED` guard.
     #[inline]
     pub(super) fn emit(&mut self, ev: LifecycleEvent) {
         self.sink.emit(ev);
     }
 
     /// Checks a write-lifecycle transition (debug builds) and records it
-    /// as a [`LifecycleEvent::Stage`]. Replaces the stage modules' bare
+    /// as a [`LifecycleEvent::Stage`] (pauses and cancellations are
+    /// counted from these). Replaces the stage modules' bare
     /// `WriteLifecycle::debug_check` calls: the event stream is exactly
     /// the checked transition set.
     #[inline]
@@ -39,16 +52,14 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         to: WriteStage,
     ) {
         WriteLifecycle::debug_check(from, to);
-        if E::ENABLED {
-            let ev = LifecycleEvent::Stage {
-                id: id.get(),
-                bank: bank as u8,
-                at: self.now.get(),
-                from,
-                to,
-            };
-            self.sink.emit(ev);
-        }
+        let ev = LifecycleEvent::Stage {
+            id: id.get(),
+            bank: bank as u8,
+            at: self.now.get(),
+            from,
+            to,
+        };
+        self.record(ev);
     }
 
     /// Records a power-accounting snapshot taken right after a

@@ -21,18 +21,13 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         let state = std::mem::replace(&mut self.banks[b].state, BankState::Idle);
         match state {
             BankState::Reading { core, .. } => {
-                if E::ENABLED {
-                    let ev = LifecycleEvent::ReadDone {
-                        bank: b as u8,
-                        at: self.now.get(),
-                        scrub: core == SCRUB_CORE,
-                    };
-                    self.emit(ev);
-                }
-                if core == SCRUB_CORE {
-                    self.metrics.scrub_reads += 1;
-                } else {
-                    self.metrics.pcm_reads += 1;
+                let ev = LifecycleEvent::ReadDone {
+                    bank: b as u8,
+                    at: self.now.get(),
+                    scrub: core == SCRUB_CORE,
+                };
+                self.record(ev);
+                if core != SCRUB_CORE {
                     self.cores[core].blocked = false;
                     let now = self.now;
                     let target = self.target_instr;
@@ -66,15 +61,12 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                     // failing line) is force-closed so the bank and
                     // its tokens cannot be held hostage.
                     task.watchdog_tripped = true;
-                    self.metrics.faults.watchdog_trips += 1;
-                    if E::ENABLED {
-                        let ev = LifecycleEvent::WatchdogTripped {
-                            id: task.id.get(),
-                            bank: b as u8,
-                            at: self.now.get(),
-                        };
-                        self.emit(ev);
-                    }
+                    let ev = LifecycleEvent::WatchdogTripped {
+                        id: task.id.get(),
+                        bank: b as u8,
+                        at: self.now.get(),
+                    };
+                    self.record(ev);
                     self.finish_round(b, task);
                     return;
                 }
@@ -99,7 +91,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                         self.transition(task.id, b, WriteStage::Iterating, WriteStage::Paused);
                         self.power.release(task.id);
                         self.emit_power(task.id.get(), PowerOp::Release, true);
-                        self.metrics.pauses += 1;
                         self.banks[b].parked = Some(task);
                     } else {
                         let ok = self.power.try_advance(task.id, task.round());
@@ -232,20 +223,15 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         let done_at = start
             + Cycles::new(self.cfg.queues.mc_to_bank_cycles)
             + Cycles::new(self.cfg.pcm.read_cycles);
-        if r.core != SCRUB_CORE {
-            self.metrics.read_latency_sum += done_at.saturating_sub(r.arrival).get();
-        }
-        if E::ENABLED {
-            let scrub = r.core == SCRUB_CORE;
-            let ev = LifecycleEvent::ReadIssued {
-                core: if scrub { 0 } else { r.core as u64 },
-                bank: r.bank.get(),
-                at: self.now.get(),
-                latency: done_at.saturating_sub(r.arrival).get(),
-                scrub,
-            };
-            self.emit(ev);
-        }
+        let scrub = r.core == SCRUB_CORE;
+        let ev = LifecycleEvent::ReadIssued {
+            core: if scrub { 0 } else { r.core as u64 },
+            bank: r.bank.get(),
+            at: self.now.get(),
+            latency: done_at.saturating_sub(r.arrival).get(),
+            scrub,
+        };
+        self.record(ev);
         self.set_bank_state(
             r.bank.index(),
             BankState::Reading {

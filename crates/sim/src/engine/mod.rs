@@ -38,15 +38,14 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use fpb_core::PowerManager;
 use fpb_pcm::{
-    DimmGeometry, EnduranceTracker, FaultInjector, IntraLineWearLeveler, IterationSampler,
-    WriteBufferPool,
+    DimmGeometry, FaultInjector, IntraLineWearLeveler, IterationSampler, WriteBufferPool,
 };
 use fpb_trace::Workload;
 use fpb_types::{Cycles, CoreId, LineAddr, SimError, SimRng, SystemConfig};
 
 use crate::bank::BankState;
 use crate::frontend::CoreState;
-use crate::inspect::{EventSink, LifecycleEvent, NullSink};
+use crate::inspect::{EventSink, LifecycleEvent, NullSink, PowerOp};
 use crate::metrics::Metrics;
 use crate::request::{ReadTask, RoundSplitter, WriteTask};
 use crate::scheme::{Scheme, SchemeSetup};
@@ -170,7 +169,6 @@ pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
     target_instr: u64,
     cap_total: Option<u64>,
     cap_chip: Option<u64>,
-    endurance: EnduranceTracker,
     /// Ring of recently written lines, the scrub candidates (drifting
     /// intermediate levels live where writes happened).
     recent_writes: VecDeque<LineAddr>,
@@ -206,6 +204,8 @@ pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
     /// Degraded mode: brownout persisted past the configured threshold, so
     /// new writes are issued in SLC fallback until the window ends.
     degraded: bool,
+    /// The run's counters, tallied only through [`Metrics::apply`] (see
+    /// `System::record`).
     metrics: Metrics,
     /// Lifecycle-event receiver (the zero-cost [`NullSink`] by default).
     sink: E,
@@ -421,7 +421,7 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
     /// Builds the system around pre-warmed cores and a lifecycle-event
     /// sink. The sink cannot change simulated results — emission sites
     /// only observe engine state, never mutate it (enforced by the
-    /// derive-vs-inline equivalence gate).
+    /// recorded-vs-plain equivalence gate).
     ///
     /// # Panics
     ///
@@ -461,14 +461,6 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
                 parked: None,
             })
             .collect();
-        // Coarse wear tracking: 64 regions, PCM-typical 10^7 endurance.
-        let endurance = EnduranceTracker::new(
-            cfg.pcm.total_lines(),
-            64,
-            cfg.pcm.chips,
-            10_000_000,
-        )
-        .with_cells_per_chip(cfg.pcm.cells_per_chip_per_line() as u64);
         let mut sys = System {
             cores,
             banks,
@@ -491,7 +483,6 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
             target_instr: opts.instructions_per_core,
             cap_total,
             cap_chip,
-            endurance,
             recent_writes: VecDeque::new(),
             scrub_period: opts.scrub_period_cycles,
             next_scrub_at: Cycles::new(opts.scrub_period_cycles.unwrap_or(u64::MAX)),
@@ -506,11 +497,7 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
             reference_sampler: opts.reference_sampler,
             brownout_since: None,
             degraded: false,
-            metrics: Metrics {
-                instructions_per_core: opts.instructions_per_core,
-                cores: cfg.cores,
-                ..Metrics::default()
-            },
+            metrics: Metrics::default(),
             cfg: cfg.clone(),
             setup: setup.clone(),
             sink,
@@ -518,18 +505,16 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
         for ci in 0..sys.cores.len() {
             sys.push_core_event(ci);
         }
-        if E::ENABLED {
-            let ev = LifecycleEvent::RunStart {
-                cores: sys.cfg.cores,
-                instructions_per_core: opts.instructions_per_core,
-                chips: sys.cfg.pcm.chips,
-                banks: sys.cfg.pcm.banks,
-                total_lines: sys.cfg.pcm.total_lines(),
-                cells_per_chip_per_line: sys.cfg.pcm.cells_per_chip_per_line() as u64,
-                seed: sys.cfg.seed,
-            };
-            sys.sink.emit(ev);
-        }
+        let ev = LifecycleEvent::RunStart {
+            cores: sys.cfg.cores,
+            instructions_per_core: opts.instructions_per_core,
+            chips: sys.cfg.pcm.chips,
+            banks: sys.cfg.pcm.banks,
+            total_lines: sys.cfg.pcm.total_lines(),
+            cells_per_chip_per_line: u64::from(sys.cfg.pcm.cells_per_chip_per_line()),
+            seed: sys.cfg.seed,
+        };
+        sys.record(ev);
         sys
     }
 }
@@ -642,26 +627,19 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 self.sink.emit(ev);
             }
         }
-        self.metrics.cycles = self
-            .cores
-            .iter()
-            .map(|c| c.done_at)
-            .max()
-            .unwrap_or(self.now)
-            .get();
-        self.metrics.power = self.power.stats().clone();
-        if let Some(inj) = self.faults.as_ref() {
-            self.metrics.faults.verify_failures = inj.verify_failures();
-            self.metrics.faults.stuck_lines_marked = inj.stuck_marked();
-        }
-        self.metrics.faults.audit_violations = self.power.audit_violations();
-        self.metrics.endurance = Some(self.endurance);
-        if E::ENABLED {
-            let ev = LifecycleEvent::RunEnd {
-                at: self.metrics.cycles,
-            };
-            self.sink.emit(ev);
-        }
+        // The manager's final state, folded as one snapshot: replay gets
+        // the same values from the last recorded per-call `Power` event,
+        // so this one is not emitted.
+        self.metrics.apply(&LifecycleEvent::Power {
+            id: 0,
+            op: PowerOp::Release,
+            ok: true,
+            at: self.now.get(),
+            stats: self.power.stats().to_raw(),
+            audit: self.power.audit_violations(),
+        });
+        let at = self.cores.iter().map(|c| c.done_at).max().unwrap_or(self.now).get();
+        self.record(LifecycleEvent::RunEnd { at });
         (self.metrics, self.sink)
     }
 

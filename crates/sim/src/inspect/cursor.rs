@@ -1,18 +1,14 @@
 //! Replay: step/seek/reset over a recorded event stream, and the
-//! metrics deriver proving the stream is a *complete* record.
+//! metrics and timeline rebuilt from it.
 //!
 //! [`Cursor`] is the time-travel half: it walks a stream forward one
 //! event at a time, jumps to arbitrary positions, and runs to the next
-//! [`super::Breakpoint`] hit. [`MetricsDeriver`] is the proof half: it
-//! folds the stream back into [`Metrics`] using only event payloads —
-//! no engine state — and the result must be byte-identical to the
-//! engine's inline tallies (`Metrics::to_json` compared verbatim, the
-//! derive-vs-inline CI gate). [`ReplayedRun`] packages both with the
-//! reconstructed [`Timeline`].
+//! [`super::Breakpoint`] hit. [`ReplayedRun`] is the whole-run half: it
+//! folds the stream through [`Metrics::apply`] — the same fold the
+//! engine tallies with live, using event payloads only — and rebuilds
+//! the [`Timeline`] from the step snapshots.
 
-use fpb_core::PowerStats;
-use fpb_pcm::EnduranceTracker;
-use fpb_types::{Cycles, LineAddr};
+use fpb_types::Cycles;
 
 use crate::metrics::Metrics;
 use crate::timeline::{Sample, Timeline};
@@ -93,164 +89,6 @@ impl Cursor {
     }
 }
 
-/// Folds a lifecycle event stream back into [`Metrics`].
-///
-/// Every counter is reconstructed from event payloads alone, mirroring
-/// the engine's inline bookkeeping site for site: deltas accumulate
-/// (`TimeAdvance` → activity cycles, `RoundClosed` → cells), absolutes
-/// overwrite (`Power` snapshots → power stats and audit count, because
-/// outstanding/peak are not additive), and the endurance tracker is a
-/// replica built from `RunStart` geometry and fed every `RoundClosed`
-/// exactly as the engine feeds its own.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsDeriver {
-    m: Metrics,
-    endurance: Option<EnduranceTracker>,
-    chips: usize,
-    power_raw: [u64; 9],
-    audit: u64,
-}
-
-impl MetricsDeriver {
-    /// A deriver with everything at zero (apply `RunStart` first).
-    pub fn new() -> MetricsDeriver {
-        MetricsDeriver::default()
-    }
-
-    /// Folds one event in. Events must arrive in recorded order.
-    pub fn apply(&mut self, ev: &LifecycleEvent) {
-        match ev {
-            LifecycleEvent::RunStart {
-                cores,
-                instructions_per_core,
-                chips,
-                total_lines,
-                cells_per_chip_per_line,
-                ..
-            } => {
-                self.m.cores = *cores;
-                self.m.instructions_per_core = *instructions_per_core;
-                self.chips = *chips as usize;
-                // The engine's wear replica: 64 regions, PCM-typical
-                // 10^7 endurance (engine constructor constants).
-                self.endurance = Some(
-                    EnduranceTracker::new(*total_lines, 64, *chips, 10_000_000)
-                        .with_cells_per_chip(*cells_per_chip_per_line),
-                );
-            }
-            LifecycleEvent::StepSnapshot { .. } => {}
-            LifecycleEvent::TimeAdvance { from, to, burst, writing, brownout, degraded } => {
-                let delta = to.saturating_sub(*from);
-                if *burst {
-                    self.m.burst_cycles += delta;
-                }
-                if *writing {
-                    self.m.write_active_cycles += delta;
-                }
-                if *brownout {
-                    self.m.faults.brownout_cycles += delta;
-                }
-                if *degraded {
-                    self.m.faults.degraded_cycles += delta;
-                }
-            }
-            LifecycleEvent::WriteCreated { degraded, .. } => {
-                if *degraded {
-                    self.m.faults.degraded_writes += 1;
-                }
-            }
-            LifecycleEvent::WriteCoalesced { .. } => {}
-            LifecycleEvent::WriteAdmitted { queue_delay, .. } => {
-                self.m.write_queue_delay += queue_delay;
-            }
-            LifecycleEvent::Stage { to, .. } => match to {
-                crate::scheme::WriteStage::Paused => self.m.pauses += 1,
-                // The only transition *back* to Queued is cancellation.
-                crate::scheme::WriteStage::Queued => self.m.cancellations += 1,
-                _ => {}
-            },
-            LifecycleEvent::SchemeDecision { .. } => {}
-            LifecycleEvent::Power { stats, audit, .. } => {
-                // Absolute post-call snapshots: the latest one is the
-                // manager's final state.
-                self.power_raw = *stats;
-                self.audit = *audit;
-            }
-            LifecycleEvent::ReadIssued { latency, scrub, .. } => {
-                if !scrub {
-                    self.m.read_latency_sum += latency;
-                }
-            }
-            LifecycleEvent::ReadDone { scrub, .. } => {
-                if *scrub {
-                    self.m.scrub_reads += 1;
-                } else {
-                    self.m.pcm_reads += 1;
-                }
-            }
-            LifecycleEvent::RoundClosed {
-                line,
-                cells,
-                truncated,
-                final_round,
-                per_chip,
-                ..
-            } => {
-                self.m.write_rounds += 1;
-                if self.m.per_chip_cells.is_empty() {
-                    self.m.per_chip_cells = vec![0; self.chips];
-                }
-                if let Some(e) = self.endurance.as_mut() {
-                    e.record_write(LineAddr::new(*line), per_chip);
-                }
-                for (acc, c) in self.m.per_chip_cells.iter_mut().zip(per_chip) {
-                    *acc += u64::from(*c);
-                }
-                self.m.cells_written += cells;
-                if *truncated {
-                    self.m.truncations += 1;
-                }
-                if *final_round {
-                    self.m.pcm_writes += 1;
-                }
-            }
-            LifecycleEvent::StuckMarked { lines, .. } => {
-                self.m.faults.stuck_lines_marked += lines;
-            }
-            LifecycleEvent::VerifyFailed { remapped, .. } => {
-                self.m.faults.verify_failures += 1;
-                if *remapped {
-                    self.m.faults.remaps += 1;
-                    self.m.faults.slc_fallbacks += 1;
-                } else {
-                    self.m.faults.retries += 1;
-                }
-            }
-            LifecycleEvent::WatchdogTripped { .. } => {
-                self.m.faults.watchdog_trips += 1;
-            }
-            LifecycleEvent::BrownoutStart { .. } => {
-                self.m.faults.brownout_windows += 1;
-            }
-            LifecycleEvent::BrownoutEnd { .. } => {}
-            LifecycleEvent::CoreDone { .. } => {}
-            LifecycleEvent::RunEnd { at } => {
-                self.m.cycles = *at;
-            }
-        }
-    }
-
-    /// Finalizes: installs the last power snapshot and the endurance
-    /// replica, exactly as the engine's `finish` does.
-    pub fn finish(self) -> Metrics {
-        let mut m = self.m;
-        m.power = PowerStats::from_raw(self.power_raw);
-        m.faults.audit_violations = self.audit;
-        m.endurance = self.endurance;
-        m
-    }
-}
-
 /// A fully replayed run: the derived metrics plus the reconstructed
 /// timeline (one [`Sample`] per recorded `StepSnapshot` — 1:1 with what
 /// [`Timeline::record`] samples on a live system).
@@ -267,7 +105,7 @@ pub struct ReplayedRun {
 impl ReplayedRun {
     /// Replays a complete stream.
     pub fn from_events(events: &[LifecycleEvent]) -> ReplayedRun {
-        let mut deriver = MetricsDeriver::new();
+        let mut metrics = Metrics::default();
         let mut banks = 0usize;
         let mut samples = Vec::new();
         for ev in events {
@@ -277,15 +115,18 @@ impl ReplayedRun {
             if let LifecycleEvent::StepSnapshot { at, bank_mask, burst, wrq, rdq } = ev {
                 samples.push(Sample {
                     at: Cycles::new(*at),
-                    bank_writes: (0..banks).map(|b| bank_mask & (1u64 << b) != 0).collect(),
+                    // The mask covers the first 64 banks (what the engine
+                    // records); banks past it read as write-free.
+                    bank_writes: (0..banks)
+                        .map(|b| b < 64 && bank_mask & (1u64 << b) != 0)
+                        .collect(),
                     burst: *burst,
                     wrq: *wrq as usize,
                     rdq: *rdq as usize,
                 });
             }
-            deriver.apply(ev);
+            metrics.apply(ev);
         }
-        let metrics = deriver.finish();
         ReplayedRun {
             timeline: Timeline::from_parts(samples, metrics.clone()),
             metrics,
@@ -322,52 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn deriver_accumulates_deltas_and_overwrites_absolutes() {
-        let mut d = MetricsDeriver::new();
-        d.apply(&LifecycleEvent::TimeAdvance {
-            from: 0,
-            to: 10,
-            burst: true,
-            writing: true,
-            brownout: false,
-            degraded: false,
-        });
-        d.apply(&LifecycleEvent::TimeAdvance {
-            from: 10,
-            to: 15,
-            burst: false,
-            writing: true,
-            brownout: true,
-            degraded: true,
-        });
-        d.apply(&LifecycleEvent::Power {
-            id: 1,
-            op: super::super::PowerOp::Admit,
-            ok: true,
-            at: 5,
-            stats: [1; 9],
-            audit: 0,
-        });
-        d.apply(&LifecycleEvent::Power {
-            id: 1,
-            op: super::super::PowerOp::Release,
-            ok: true,
-            at: 9,
-            stats: [2, 2, 2, 2, 2, 2, 2, 2, 2],
-            audit: 3,
-        });
-        d.apply(&LifecycleEvent::RunEnd { at: 15 });
-        let m = d.finish();
-        assert_eq!(m.burst_cycles, 10);
-        assert_eq!(m.write_active_cycles, 15);
-        assert_eq!(m.faults.brownout_cycles, 5);
-        assert_eq!(m.faults.degraded_cycles, 5);
-        assert_eq!(m.power, PowerStats::from_raw([2; 9]), "latest snapshot wins");
-        assert_eq!(m.faults.audit_violations, 3);
-        assert_eq!(m.cycles, 15);
-    }
-
-    #[test]
     fn replay_reconstructs_timeline_samples() {
         let evs = vec![
             LifecycleEvent::RunStart {
@@ -394,5 +189,26 @@ mod tests {
         assert_eq!(r.metrics.cycles, 9);
         assert_eq!(r.metrics.cores, 2);
         assert!(r.metrics.endurance.is_some());
+    }
+
+    #[test]
+    fn bank_mask_past_64_banks_reads_write_free() {
+        let evs = vec![
+            LifecycleEvent::RunStart {
+                cores: 1,
+                instructions_per_core: 10,
+                chips: 8,
+                banks: 70,
+                total_lines: 1024,
+                cells_per_chip_per_line: 128,
+                seed: 1,
+            },
+            LifecycleEvent::StepSnapshot { at: 0, bank_mask: 1 << 63 | 1, burst: false, wrq: 0, rdq: 0 },
+        ];
+        let r = ReplayedRun::from_events(&evs);
+        let s0 = &r.timeline.samples()[0];
+        assert_eq!(s0.bank_writes.len(), 70);
+        assert!(s0.bank_writes[0] && s0.bank_writes[63]);
+        assert!(s0.bank_writes[64..].iter().all(|w| !w), "no aliasing onto banks 64+");
     }
 }

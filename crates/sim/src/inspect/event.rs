@@ -1,9 +1,10 @@
 //! The typed lifecycle event vocabulary and its wire codec.
 //!
 //! Every engine stage boundary emits exactly one [`LifecycleEvent`]; the
-//! stream is a complete record of a run — [`crate::inspect::MetricsDeriver`]
-//! folds it back into the same [`crate::Metrics`] the engine tallies
-//! inline, byte for byte (the derive-vs-inline CI gate).
+//! stream is a complete record of a run. The engine tallies
+//! [`crate::Metrics`] only by folding these events through
+//! [`crate::Metrics::apply`], so replaying a recorded stream through the
+//! same fold rebuilds the run's metrics byte for byte.
 //!
 //! The wire form is one ASCII line per event: a two-letter kind tag
 //! followed by space-separated decimal fields (booleans as `0`/`1`,
@@ -123,14 +124,15 @@ pub fn stage_from_code(s: &str) -> Option<WriteStage> {
 /// One typed, serializable engine stage transition (or run-level marker).
 ///
 /// Times are absolute simulation cycles; ids are the engine's per-run
-/// [`fpb_core::WriteId`] values. Together the variants cover every site
-/// where the engine mutates [`crate::Metrics`], so the stream *derives*
-/// the metrics rather than merely annotating them.
+/// [`fpb_core::WriteId`] values. The variants carry every counter the
+/// engine reports — [`crate::Metrics::apply`] is the only place one is
+/// tallied — so the stream *derives* the metrics rather than merely
+/// annotating them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LifecycleEvent {
     /// Run configuration, emitted once at construction. Carries exactly
-    /// what replay needs to rebuild the run-shaped state (the endurance
-    /// replica, the bank-mask width).
+    /// what the metrics fold and replay need to size the run-shaped
+    /// state (the endurance tracker, the bank-mask width).
     RunStart {
         /// Core count.
         cores: u8,

@@ -5,18 +5,19 @@
 //! transition through an [`EventSink`] threaded into
 //! [`crate::System`] as a type parameter. The default sink is
 //! [`NullSink`], whose `ENABLED = false` constant folds every emission
-//! site to nothing — the hot path pays zero cost unless a caller opts
-//! in. With a live sink, the stream is a *complete* record: the
-//! [`MetricsDeriver`] folds it back into [`crate::Metrics`] byte-identical
-//! to the engine's inline tallies (the derive-vs-inline CI gate), and the
-//! [`Cursor`] replays it step by step with breakpoints, stall attribution
-//! and per-write lineage.
+//! site to nothing — the hot path pays no recording cost unless a caller
+//! opts in. Events that some counter reads are built on every run all
+//! the same: the engine tallies [`crate::Metrics`] only by folding them
+//! through [`crate::Metrics::apply`]. So with a live sink the stream is a
+//! *complete* record — replaying it through the same fold rebuilds the
+//! run's metrics byte for byte — and the [`Cursor`] steps through it
+//! with breakpoints, stall attribution and per-write lineage.
 //!
 //! * [`event`] — the event vocabulary and its exact ASCII wire codec.
 //! * [`recorder`] — the durable `fpbi1` event log (CRC-framed, fsync'd,
 //!   torn-tail tolerant — the [`crate::journal`] discipline).
 //! * [`cursor`] — ReplayEngine-style step/seek/reset over a stream, plus
-//!   the metrics deriver and timeline reconstruction.
+//!   whole-run replay (metrics fold and timeline reconstruction).
 //! * [`breakpoint`] — halt predicates ("first degraded write",
 //!   "token-stalled>N") for `fpb inspect break`.
 //! * [`stall`] — where writes waited: token stalls, pauses, backoffs.
@@ -31,7 +32,7 @@ pub mod recorder;
 pub mod stall;
 
 pub use breakpoint::{BreakHit, Breakpoint};
-pub use cursor::{Cursor, MetricsDeriver, ReplayedRun};
+pub use cursor::{Cursor, ReplayedRun};
 pub use event::{stage_code, stage_from_code, LifecycleEvent, PowerOp, SchemeHook};
 pub use lineage::{lineage_lines, Lineage};
 pub use recorder::{
@@ -43,14 +44,15 @@ pub use stall::{StallKind, StallReport};
 ///
 /// The engine guards every emission site with `E::ENABLED`, so a sink
 /// whose `ENABLED` is `false` (the default [`NullSink`]) compiles to a
-/// no-op: event construction, including any allocation the event would
-/// need, is never reached. Implementations must be infallible from the
+/// no-op: events no counter reads are never built, and counted events
+/// reach only the metrics fold. Implementations must be infallible from the
 /// engine's point of view — a sink that can fail (like
 /// [`FileSink`]) records its first error internally and reports it when
 /// the caller finishes the sink.
 pub trait EventSink {
-    /// Whether the engine should construct and emit events at all.
-    /// `false` const-folds every emission site away.
+    /// Whether the engine should emit events at all. `false` const-folds
+    /// every emission site away (counted events still reach the metrics
+    /// fold).
     const ENABLED: bool = true;
 
     /// Accepts one event. Called only when [`EventSink::ENABLED`] is

@@ -29,6 +29,7 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::journal::{fingerprint64, frame_into, framed_lines, unframe};
+use crate::metrics::wear_tracker;
 
 use super::event::{push_decimal, LifecycleEvent};
 use super::EventSink;
@@ -227,8 +228,10 @@ pub struct EventLog {
 
 /// Reads and validates an event log: header first, then events, with
 /// the corrupt-tail policy of [`crate::journal`] — reading stops at the
-/// first invalid line (bad CRC, bad decode, out-of-order sequence) and
-/// everything before it is reported.
+/// first invalid line and everything before it is reported. A line is
+/// invalid if its CRC, decode or sequence number is wrong, or if its
+/// event breaks the run's geometry (see `fits_geometry`): replay must
+/// never reach the metrics fold with a shape it cannot hold.
 ///
 /// # Errors
 ///
@@ -252,6 +255,7 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
     };
 
     let mut events = Vec::new();
+    let mut chips = None;
     let mut complete = false;
     let mut dropped = usize::from(torn_tail);
     while let Some((line, _)) = lines.next() {
@@ -263,7 +267,8 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
                 if seq.parse::<u64>().ok()? != events.len() as u64 {
                     return None;
                 }
-                Some(Some(LifecycleEvent::decode(payload)?))
+                let ev = LifecycleEvent::decode(payload)?;
+                fits_geometry(&ev, events.len(), &mut chips).then_some(Some(ev))
             } else if let Some(count) = body.strip_prefix("z ") {
                 (count.parse::<u64>().ok()? == events.len() as u64).then_some(None)
             } else {
@@ -282,6 +287,24 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
         }
     }
     Ok(EventLog { meta, fingerprint, events, complete, dropped_lines: dropped })
+}
+
+/// Whether `ev`, arriving as event `index`, is consistent with the run's
+/// geometry so far. A `RunStart` must be event 0, and the only one, with
+/// a geometry the endurance tracker accepts; it fixes the chip count.
+/// Every `RoundClosed` must carry that many per-chip counts (without a
+/// `RunStart`, the first `RoundClosed` fixes the count).
+fn fits_geometry(ev: &LifecycleEvent, index: usize, chips: &mut Option<usize>) -> bool {
+    match ev {
+        LifecycleEvent::RunStart { chips: c, total_lines, cells_per_chip_per_line, .. } => {
+            *chips = Some(usize::from(*c));
+            index == 0 && wear_tracker(*total_lines, *c, *cells_per_chip_per_line).is_some()
+        }
+        LifecycleEvent::RoundClosed { per_chip, .. } => {
+            per_chip.len() == *chips.get_or_insert(per_chip.len())
+        }
+        _ => true,
+    }
 }
 
 /// An [`EventSink`] that streams events straight into an
@@ -473,6 +496,109 @@ mod tests {
         assert!(!log.complete);
         assert_eq!(log.dropped_lines, 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn run_start(chips: u8, total_lines: u64, cells_per_chip_per_line: u64) -> LifecycleEvent {
+        LifecycleEvent::RunStart {
+            cores: 8,
+            instructions_per_core: 1000,
+            chips,
+            banks: 8,
+            total_lines,
+            cells_per_chip_per_line,
+            seed: 1,
+        }
+    }
+
+    fn round_closed(chips: usize) -> LifecycleEvent {
+        LifecycleEvent::RoundClosed {
+            id: 1,
+            line: 5,
+            bank: 5,
+            at: 40,
+            cells: 0,
+            truncated: false,
+            final_round: true,
+            per_chip: vec![0; chips],
+        }
+    }
+
+    /// Writes a CRC-valid, correctly sequenced, cleanly closed log of
+    /// `events` — the damage under test is in the events alone — and
+    /// reads it back.
+    fn read_framed(name: &str, events: &[LifecycleEvent]) -> EventLog {
+        let path = tmp(name);
+        let mut text = String::new();
+        frame_into(&mut text, EVENT_LOG_MAGIC, &format!("h {:016x} m", fingerprint64("m")));
+        for (seq, ev) in events.iter().enumerate() {
+            frame_into(&mut text, EVENT_LOG_MAGIC, &format!("e {seq} {}", ev.encode()));
+        }
+        frame_into(&mut text, EVENT_LOG_MAGIC, &format!("z {}", events.len()));
+        std::fs::write(&path, text).unwrap();
+        let log = read_event_log(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        log
+    }
+
+    #[test]
+    fn consistent_geometry_reads_complete() {
+        let events = [run_start(8, 1 << 20, 128), round_closed(8), round_closed(8)];
+        let log = read_framed("geometry_ok.fpbi", &events);
+        assert_eq!(log.events, events);
+        assert!(log.complete);
+        // Without a RunStart the first round fixes the chip count.
+        let bare = [round_closed(3), round_closed(3)];
+        assert!(read_framed("geometry_bare.fpbi", &bare).complete);
+    }
+
+    #[test]
+    fn round_with_wrong_chip_count_stops_the_read() {
+        let log = read_framed(
+            "geometry_chips.fpbi",
+            &[run_start(8, 1 << 20, 128), round_closed(8), round_closed(3), round_closed(8)],
+        );
+        assert_eq!(log.events, [run_start(8, 1 << 20, 128), round_closed(8)]);
+        assert!(!log.complete);
+        assert_eq!(log.dropped_lines, 3, "the bad round, the round after it, the trailer");
+        let bare = read_framed("geometry_bare_chips.fpbi", &[round_closed(3), round_closed(8)]);
+        assert_eq!(bare.events, [round_closed(3)]);
+        assert!(!bare.complete);
+    }
+
+    #[test]
+    fn run_start_with_zero_total_lines_stops_the_read() {
+        let log = read_framed("geometry_lines.fpbi", &[run_start(8, 0, 128), round_closed(8)]);
+        assert!(log.events.is_empty());
+        assert!(!log.complete);
+        // Fewer lines than wear regions is as unusable as none.
+        let log = read_framed("geometry_lines63.fpbi", &[run_start(8, 63, 128)]);
+        assert!(log.events.is_empty() && !log.complete);
+        assert!(read_framed("geometry_lines64.fpbi", &[run_start(8, 64, 128)]).complete);
+    }
+
+    #[test]
+    fn run_start_with_zero_chips_stops_the_read() {
+        let log = read_framed("geometry_no_chips.fpbi", &[run_start(0, 1 << 20, 128)]);
+        assert!(log.events.is_empty());
+        assert!(!log.complete);
+    }
+
+    #[test]
+    fn run_start_with_zero_cells_per_chip_stops_the_read() {
+        let log = read_framed("geometry_no_cells.fpbi", &[run_start(8, 1 << 20, 0)]);
+        assert!(log.events.is_empty());
+        assert!(!log.complete);
+    }
+
+    #[test]
+    fn run_start_past_event_zero_stops_the_read() {
+        let rs = run_start(8, 1 << 20, 128);
+        let log = read_framed("geometry_second_rs.fpbi", &[rs.clone(), rs.clone()]);
+        assert_eq!(log.events, std::slice::from_ref(&rs));
+        assert!(!log.complete);
+        let late = read_framed("geometry_late_rs.fpbi", &[round_closed(8), rs]);
+        assert_eq!(late.events, [round_closed(8)]);
+        assert!(!late.complete);
     }
 
     #[test]

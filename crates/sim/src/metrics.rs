@@ -1,6 +1,30 @@
-//! Simulation results.
+//! Simulation results, and the one fold that tallies them.
+//!
+//! Every counter in [`Metrics`] is defined in exactly one place:
+//! [`Metrics::apply`], a fold over the engine's [`LifecycleEvent`]
+//! stream. A live run applies each event as the engine produces it; a
+//! replay applies the same events read back from an `fpbi1` log. The two
+//! are therefore the same code, not two implementations kept in step.
 
 use fpb_core::PowerStats;
+use fpb_pcm::EnduranceTracker;
+use fpb_types::LineAddr;
+
+use crate::inspect::LifecycleEvent;
+use crate::scheme::WriteStage;
+
+/// The endurance tracker for a run's geometry — coarse wear tracking
+/// over 64 regions, PCM-typical 10^7 writes per cell — or `None` for a
+/// geometry it cannot hold (no chips, no cells per chip, fewer lines
+/// than regions). The metrics fold builds it from `RunStart`; the event
+/// log reader refuses a `RunStart` this rejects.
+pub(crate) fn wear_tracker(
+    total_lines: u64,
+    chips: u8,
+    cells_per_chip_per_line: u64,
+) -> Option<EnduranceTracker> {
+    EnduranceTracker::try_new(total_lines, 64, chips, 10_000_000, cells_per_chip_per_line)
+}
 
 /// Everything one simulation run reports.
 ///
@@ -54,7 +78,7 @@ pub struct Metrics {
     /// Background drift-scrub reads serviced.
     pub scrub_reads: u64,
     /// Cells written per chip across completed write rounds (length =
-    /// chip count; empty if no writes completed).
+    /// chip count, sized by the first round; empty if no round closed).
     pub per_chip_cells: Vec<u64>,
     /// Power-manager statistics (GCP usage, stalls, Multi-RESET splits).
     pub power: PowerStats,
@@ -104,6 +128,125 @@ impl FaultMetrics {
 }
 
 impl Metrics {
+    /// Folds one lifecycle event into the counters. Events must arrive in
+    /// run order, `RunStart` first.
+    ///
+    /// Deltas accumulate (`TimeAdvance` charges activity cycles,
+    /// `RoundClosed` cells and wear). Absolutes overwrite: a `Power`
+    /// snapshot carries the manager's post-call stats and audit count,
+    /// because outstanding/peak are not additive, so the latest one wins.
+    /// `RunStart` builds the endurance tracker (`wear_tracker`); a
+    /// geometry the tracker cannot hold leaves it `None` rather than
+    /// panicking.
+    ///
+    /// Events no counter reads (`StepSnapshot`, `SchemeDecision`,
+    /// `WriteCoalesced`, `BrownoutEnd`, `CoreDone`) are ignored.
+    #[inline(always)]
+    pub fn apply(&mut self, ev: &LifecycleEvent) {
+        match ev {
+            LifecycleEvent::RunStart {
+                cores,
+                instructions_per_core,
+                chips,
+                total_lines,
+                cells_per_chip_per_line,
+                ..
+            } => {
+                self.cores = *cores;
+                self.instructions_per_core = *instructions_per_core;
+                self.endurance = wear_tracker(*total_lines, *chips, *cells_per_chip_per_line);
+            }
+            LifecycleEvent::TimeAdvance { from, to, burst, writing, brownout, degraded } => {
+                let delta = to.saturating_sub(*from);
+                if *burst {
+                    self.burst_cycles += delta;
+                }
+                if *writing {
+                    self.write_active_cycles += delta;
+                }
+                if *brownout {
+                    self.faults.brownout_cycles += delta;
+                }
+                if *degraded {
+                    self.faults.degraded_cycles += delta;
+                }
+            }
+            LifecycleEvent::WriteCreated { degraded, .. } => {
+                if *degraded {
+                    self.faults.degraded_writes += 1;
+                }
+            }
+            LifecycleEvent::WriteAdmitted { queue_delay, .. } => {
+                self.write_queue_delay += queue_delay;
+            }
+            LifecycleEvent::Stage { to, .. } => match to {
+                WriteStage::Paused => self.pauses += 1,
+                // The only transition *back* to Queued is cancellation.
+                WriteStage::Queued => self.cancellations += 1,
+                _ => {}
+            },
+            LifecycleEvent::Power { stats, audit, .. } => {
+                self.power = PowerStats::from_raw(*stats);
+                self.faults.audit_violations = *audit;
+            }
+            LifecycleEvent::ReadIssued { latency, scrub, .. } => {
+                if !scrub {
+                    self.read_latency_sum += latency;
+                }
+            }
+            LifecycleEvent::ReadDone { scrub, .. } => {
+                if *scrub {
+                    self.scrub_reads += 1;
+                } else {
+                    self.pcm_reads += 1;
+                }
+            }
+            LifecycleEvent::RoundClosed { line, cells, truncated, final_round, per_chip, .. } => {
+                self.write_rounds += 1;
+                if self.per_chip_cells.is_empty() {
+                    self.per_chip_cells = vec![0; per_chip.len()];
+                }
+                // Cells are programmed when their round closes, so the
+                // global, per-chip and wear tallies all accumulate here —
+                // they agree even when a later round of the same write is
+                // still in flight at the end of the run.
+                for (acc, &c) in self.per_chip_cells.iter_mut().zip(per_chip) {
+                    *acc += u64::from(c);
+                }
+                if let Some(e) = self.endurance.as_mut() {
+                    e.record_write(LineAddr::new(*line), per_chip);
+                }
+                self.cells_written += cells;
+                if *truncated {
+                    self.truncations += 1;
+                }
+                if *final_round {
+                    self.pcm_writes += 1;
+                }
+            }
+            LifecycleEvent::StuckMarked { lines, .. } => {
+                self.faults.stuck_lines_marked += lines;
+            }
+            LifecycleEvent::VerifyFailed { remapped, .. } => {
+                self.faults.verify_failures += 1;
+                if *remapped {
+                    self.faults.remaps += 1;
+                    self.faults.slc_fallbacks += 1;
+                } else {
+                    self.faults.retries += 1;
+                }
+            }
+            LifecycleEvent::WatchdogTripped { .. } => self.faults.watchdog_trips += 1,
+            LifecycleEvent::BrownoutStart { .. } => self.faults.brownout_windows += 1,
+            LifecycleEvent::RunEnd { at } => self.cycles = *at,
+            LifecycleEvent::StepSnapshot { .. }
+            | LifecycleEvent::WriteCoalesced { .. }
+            | LifecycleEvent::SchemeDecision { .. }
+            | LifecycleEvent::BrownoutEnd { .. }
+            | LifecycleEvent::CoreDone { .. } => {}
+        }
+    }
+
     /// Cycles per instruction of the run (elapsed cycles over the per-core
     /// instruction budget — every core retires the same budget).
     ///
@@ -549,6 +692,51 @@ mod tests {
         assert_eq!(m.chip_imbalance(), 2.0);
         assert_eq!(Metrics::default().avg_read_latency(), 0.0);
         assert_eq!(Metrics::default().chip_imbalance(), 0.0);
+    }
+
+    #[test]
+    fn apply_accumulates_deltas_and_overwrites_absolutes() {
+        let mut m = Metrics::default();
+        m.apply(&LifecycleEvent::TimeAdvance {
+            from: 0,
+            to: 10,
+            burst: true,
+            writing: true,
+            brownout: false,
+            degraded: false,
+        });
+        m.apply(&LifecycleEvent::TimeAdvance {
+            from: 10,
+            to: 15,
+            burst: false,
+            writing: true,
+            brownout: true,
+            degraded: true,
+        });
+        m.apply(&LifecycleEvent::Power {
+            id: 1,
+            op: crate::inspect::PowerOp::Admit,
+            ok: true,
+            at: 5,
+            stats: [1; 9],
+            audit: 0,
+        });
+        m.apply(&LifecycleEvent::Power {
+            id: 1,
+            op: crate::inspect::PowerOp::Release,
+            ok: true,
+            at: 9,
+            stats: [2, 2, 2, 2, 2, 2, 2, 2, 2],
+            audit: 3,
+        });
+        m.apply(&LifecycleEvent::RunEnd { at: 15 });
+        assert_eq!(m.burst_cycles, 10);
+        assert_eq!(m.write_active_cycles, 15);
+        assert_eq!(m.faults.brownout_cycles, 5);
+        assert_eq!(m.faults.degraded_cycles, 5);
+        assert_eq!(m.power, PowerStats::from_raw([2; 9]), "latest snapshot wins");
+        assert_eq!(m.faults.audit_violations, 3);
+        assert_eq!(m.cycles, 15);
     }
 
     #[test]

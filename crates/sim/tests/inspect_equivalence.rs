@@ -1,15 +1,19 @@
-//! Derive-vs-inline equivalence: the recorded lifecycle event stream is
-//! a *complete* record of a run.
+//! Record/replay equivalence: recording is free, and the recorded
+//! lifecycle event stream is a *complete* record of a run.
 //!
-//! Three guarantees, each load-bearing for `fpb inspect`:
+//! Live runs and replays tally through the same fold
+//! (`Metrics::apply`), so these tests do not check the counters'
+//! values — `tests/metrics_pinned.rs` pins those. They check the three
+//! guarantees `fpb inspect` rests on:
 //!
 //! 1. **Observation is free** — recording through a sink must not
 //!    perturb the simulation: recorded-run metrics are bit-identical to
 //!    a plain run's.
-//! 2. **Derivation is exact** — folding the event stream back through
-//!    [`MetricsDeriver`] reproduces the engine's inline [`Metrics`]
+//! 2. **The stream is complete** — folding the recorded events through
+//!    [`ReplayedRun`] reproduces the live run's [`fpb_sim::Metrics`]
 //!    byte-for-byte (`to_json` compared verbatim) for every registered
-//!    paper-figure spec and under full fault injection.
+//!    paper-figure spec and under full fault injection: every event a
+//!    counter reads reached the sink.
 //! 3. **Replay is lossless** — the timeline reconstructed from
 //!    `StepSnapshot` events equals what [`Timeline::record`] samples on
 //!    a live system.
@@ -54,18 +58,18 @@ fn all_paper_figure_specs_derive_byte_identical_metrics() {
     assert!(specs.len() >= 21, "paper figure registry shrank: {}", specs.len());
     for spec in specs {
         let setup = registry.build(spec, &cfg).unwrap_or_else(|e| panic!("{spec}: {e}"));
-        let inline = run_workload(&wl, &cfg, &setup, &opts());
+        let live = run_workload(&wl, &cfg, &setup, &opts());
         let (recorded, sink) =
             run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new())
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        assert_eq!(recorded, inline, "{spec}: recording perturbed the run");
+        assert_eq!(recorded, live, "{spec}: recording perturbed the run");
         let derived = ReplayedRun::from_events(sink.events()).metrics;
         assert_eq!(
             derived.to_json(),
-            inline.to_json(),
-            "{spec}: derived metrics drifted from inline tallies"
+            live.to_json(),
+            "{spec}: replayed metrics drifted from the live run"
         );
-        assert_eq!(derived, inline, "{spec}: structural mismatch");
+        assert_eq!(derived, live, "{spec}: structural mismatch");
     }
 }
 
@@ -75,16 +79,16 @@ fn fault_injected_run_derives_byte_identical_metrics() {
     let wl = catalog::workload("mcf_m").expect("workload");
     let registry = SchemeRegistry::standard();
     let setup = registry.build("fpb", &cfg).expect("fpb spec");
-    let inline = run_workload(&wl, &cfg, &setup, &opts());
+    let live = run_workload(&wl, &cfg, &setup, &opts());
     // The fault mix must actually fire, or this test proves nothing.
-    assert!(inline.faults.verify_failures > 0, "{:?}", inline.faults);
-    assert!(inline.faults.brownout_windows > 0, "{:?}", inline.faults);
+    assert!(live.faults.verify_failures > 0, "{:?}", live.faults);
+    assert!(live.faults.brownout_windows > 0, "{:?}", live.faults);
     let (recorded, sink) =
         run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new()).expect("recorded");
-    assert_eq!(recorded, inline, "recording perturbed the faulty run");
+    assert_eq!(recorded, live, "recording perturbed the faulty run");
     let derived = ReplayedRun::from_events(sink.events()).metrics;
-    assert_eq!(derived.to_json(), inline.to_json());
-    assert_eq!(derived.faults, inline.faults, "fault counters must derive exactly");
+    assert_eq!(derived.to_json(), live.to_json());
+    assert_eq!(derived.faults, live.faults, "fault counters must derive exactly");
 }
 
 #[test]

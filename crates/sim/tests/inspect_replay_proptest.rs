@@ -1,8 +1,10 @@
 //! Property tests for record → replay: across arbitrary seeds, schemes,
 //! and fault mixes, a run recorded to an on-disk event log and read back
-//! reconstructs `Timeline::record`'s output and the final `Metrics`
-//! byte-identically — including when the recorded runs execute on
-//! parallel sweep workers (`--jobs 2`).
+//! reconstructs `Timeline::record`'s output and the recorded run's final
+//! `Metrics` byte-identically — including when the recorded runs execute
+//! on parallel sweep workers (`--jobs 2`). Live and replayed metrics come
+//! from the same fold, so this shows the log loses no event a counter
+//! reads; the counters' values are pinned in `tests/metrics_pinned.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +54,7 @@ fn cfg_for(seed: u64, faulty: bool) -> SystemConfig {
 }
 
 /// Records one run and checks the full pipeline: in-memory events ==
-/// file round-trip events, derived metrics byte-identical to inline,
+/// file round-trip events, derived metrics byte-identical to the run's,
 /// replayed timeline identical to a live `Timeline::record`.
 fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
     let cfg = cfg_for(seed, faulty);
@@ -61,9 +63,9 @@ fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
     let opts = SimOptions::with_instructions(INSTRUCTIONS);
 
     let live = Timeline::record(System::new(&wl, &cfg, &setup, &opts));
-    let (inline, sink) =
+    let (recorded, sink) =
         run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new()).expect("recorded");
-    prop_assert_eq!(&inline, live.metrics(), "sink perturbed the run");
+    prop_assert_eq!(&recorded, live.metrics(), "sink perturbed the run");
 
     // Through the on-disk log and back.
     let path = tmp();
@@ -83,7 +85,7 @@ fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
     let replayed = ReplayedRun::from_events(&log.events);
     prop_assert_eq!(
         replayed.metrics.to_json(),
-        inline.to_json(),
+        recorded.to_json(),
         "derived metrics drifted (seed={}, spec={}, faulty={})",
         seed,
         spec,
@@ -137,15 +139,15 @@ proptest! {
             let cfg = cfg_for(s, faulty);
             let setup = SchemeRegistry::standard().build(spec, &cfg).expect("spec");
             let opts = SimOptions::with_instructions(INSTRUCTIONS);
-            let (inline, sink) =
+            let (recorded, sink) =
                 run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new())
                     .expect("recorded");
             let derived = ReplayedRun::from_events(sink.events()).metrics;
-            (inline, derived.to_json())
+            (recorded, derived.to_json())
         });
 
-        for ((inline, derived_json), want) in replayed.iter().zip(&serial) {
-            prop_assert_eq!(inline, want, "parallel recording drifted from serial run");
+        for ((recorded, derived_json), want) in replayed.iter().zip(&serial) {
+            prop_assert_eq!(recorded, want, "parallel recording drifted from serial run");
             prop_assert_eq!(derived_json, &want.to_json(), "parallel replay drifted");
         }
     }

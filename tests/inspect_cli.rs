@@ -150,6 +150,59 @@ fn torn_log_replays_prefix_unless_complete_required() {
 }
 
 #[test]
+fn crc_valid_log_with_inconsistent_geometry_is_refused_without_a_panic() {
+    use fpb::sim::journal::crc32;
+    let log = tmp("geometry.fpbi");
+    let out = fpb()
+        .args(["inspect", "record", "--log"])
+        .arg(&log)
+        .args(["--workload", "mcf_m", "--scheme", "fpb", "--instructions", "5000"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // Re-frame the first `rc` line with 3 chips under the run's 8: the
+    // CRC is valid, only the geometry is wrong.
+    let text = std::fs::read_to_string(&log).expect("read log");
+    let mut seen_rc = false;
+    let mut rewritten = String::new();
+    for line in text.lines() {
+        let body = line.splitn(3, ' ').nth(2).expect("framed line");
+        let fields: Vec<&str> = body.split(' ').collect();
+        if !seen_rc && fields.get(2) == Some(&"rc") {
+            seen_rc = true;
+            // e <seq> rc id line bank at cells truncated final n c0 c1 …
+            assert_eq!(fields[10], "8", "pinned run has 8 chips: {body}");
+            let body = format!("{} 3 {}", fields[..10].join(" "), fields[11..14].join(" "));
+            rewritten.push_str(&format!("fpbi1 {:08x} {body}\n", crc32(body.as_bytes())));
+        } else {
+            rewritten.push_str(line);
+            rewritten.push('\n');
+        }
+    }
+    assert!(seen_rc, "the run closed no write round");
+    std::fs::write(&log, rewritten).expect("rewrite");
+
+    let out = fpb()
+        .args(["inspect", "replay", "--require-complete", "--log"])
+        .arg(&log)
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success(), "--require-complete must refuse the log");
+    assert_ne!(out.status.code(), Some(101), "a panic is not a refusal: {out:?}");
+
+    let out = fpb()
+        .args(["inspect", "replay", "--log"])
+        .arg(&log)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("truncated"));
+
+    std::fs::remove_file(&log).ok();
+}
+
+#[test]
 fn quiet_suppresses_reuse_stats_line_only_when_asked() {
     // The reuse line only prints on the reuse path, so give the sweep a
     // throwaway cache rather than `--no-result-cache`.
